@@ -40,11 +40,12 @@ struct GreedyOptions {
   /// Set false to force the eager full re-scan as an exact-equivalence
   /// fallback for oracles that are not submodular.
   bool lazy = true;
-  /// Score candidates through the oracle's incremental context
-  /// (`MarginalEvalContext`) when `supports_incremental()` is true:
+  /// Score candidates through the oracle's own incremental context
+  /// (`MarginalEvalContext`) when `MakeContext()` returns one:
   /// O(1)-in-|S| delta evaluations instead of full set re-evaluations,
-  /// with identical selections. Ignored (plain `Profit` calls) for
-  /// oracles without incremental support.
+  /// with identical selections. False, or an oracle without a context,
+  /// scores through a `FullEvalContext` (one full `Profit` call per
+  /// candidate; see `MakeEvalContext`).
   bool incremental = true;
   /// Stochastic greedy (Mirzasoleiman et al., AAAI 2015 - "lazier than
   /// lazy greedy"): each round scores a uniform random sample of
@@ -81,8 +82,12 @@ struct GreedyOptions {
 /// repeatedly add the feasible source with the largest profit improvement
 /// until no addition improves the profit by more than
 /// `internal::kImprovementEps`. `matroid` (optional) constrains
-/// feasibility. By default candidates are evaluated in the lazy CELF order
-/// (Leskovec et al., KDD 2007); see `GreedyOptions::lazy`.
+/// feasibility and must cover every handle of the oracle
+/// (`element_count() >= universe_size()`, checked). By default candidates
+/// are evaluated in the lazy CELF order (Leskovec et al., KDD 2007); see
+/// `GreedyOptions::lazy`. Runs the shared greedy driver
+/// (selection/greedy_driver.h) with the profit objective; the options pick
+/// its candidate policy (eager, lazy or stochastic).
 SelectionResult Greedy(const ProfitFunction& oracle,
                        const PartitionMatroid* matroid = nullptr,
                        const GreedyOptions& options = {});
@@ -127,15 +132,16 @@ SelectionResult MaxSubMatroid(
 /// marginals inside the construction and the local search are evaluated in
 /// parallel; the reduction over candidates stays serial in handle order,
 /// so parallel runs are bit-identical to serial runs for a given seed.
+/// `matroid` (optional) must cover every handle of the oracle (checked).
 struct GraspParams {
   int kappa = 1;
   int restarts = 1;
   std::uint64_t seed = 42;
   ThreadPool* pool = nullptr;  ///< Optional; not owned.
   /// Evaluate candidate marginals through the oracle's incremental
-  /// context when supported (thread-local contexts per score chunk, so
-  /// the parallel path stays bit-identical to the serial one). Ignored
-  /// for oracles without incremental support.
+  /// context when it has one (a context per score chunk, so the parallel
+  /// path stays bit-identical to the serial one); otherwise, or when
+  /// false, through a `FullEvalContext` (see `MakeEvalContext`).
   bool incremental = true;
   /// Optional per-run audit trail across every restart (construction
   /// rounds and local-search moves, tagged with the restart index); see

@@ -17,9 +17,9 @@ struct BudgetedGreedyOptions {
   /// non-submodular gains).
   bool lazy = true;
   /// Score marginal gains through the oracle's incremental context when
-  /// `supports_incremental()` is true (delta evaluations independent of
-  /// the selected-set size, identical selections). Ignored for oracles
-  /// without incremental support.
+  /// `MakeContext()` returns one (delta evaluations independent of the
+  /// selected-set size, identical selections); otherwise, or when false,
+  /// through a `FullEvalContext` making the plain `Gain` calls.
   bool incremental = true;
   /// Stochastic phase 1 (see `GreedyOptions::stochastic`): each
   /// cost-benefit round scores a uniform random sample of
@@ -54,8 +54,10 @@ struct BudgetedGreedyOptions {
 /// singleton (the Khuller-Moss-Naor safeguard; for monotone submodular
 /// gains the combination is a constant-factor approximation).
 ///
-/// Singleton costs are evaluated once up front (O(n) cost-oracle calls
-/// total, independent of the number of greedy rounds).
+/// Phase 1 is the shared greedy driver (selection/greedy_driver.h) with the
+/// cost-benefit objective; the options pick its candidate policy exactly
+/// as for `Greedy`. Singleton costs are evaluated once up front (O(n)
+/// cost-oracle calls total, independent of the number of greedy rounds).
 ///
 /// This complements the local-search algorithms, whose -infinity treatment
 /// of infeasible sets makes them blind near a tight budget boundary.

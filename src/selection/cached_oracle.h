@@ -64,15 +64,11 @@ class CachedProfitOracle : public GainCostFunction {
   double budget() const override;
   bool thread_safe() const override { return base_->thread_safe(); }
 
-  /// Forwards the wrapped oracle's incremental support.
-  bool supports_incremental() const override {
-    return base_->supports_incremental();
-  }
-
   /// A caching incremental context: evaluations delegate to the wrapped
   /// oracle's context and are memoized into the shared profit/gain caches
   /// under the same canonical sorted-set keys the plain calls use, so
   /// incremental and plain evaluations of the same set share one entry.
+  /// Null when the wrapped oracle has no context.
   std::unique_ptr<MarginalEvalContext> MakeContext() const override;
 
   /// One consistent snapshot of the hit/miss tallies across all three

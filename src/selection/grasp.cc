@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "obs/decision_log.h"
 #include "obs/macros.h"
 #include "selection/algorithms.h"
@@ -30,11 +31,11 @@ bool UseParallel(const ProfitFunction& oracle, ThreadPool* pool) {
 /// when allowed. Results land in index order, so downstream reductions are
 /// independent of the schedule.
 ///
-/// With `incremental` set (callers pre-check supports_incremental), each
-/// chunk builds a thread-local context rooted at `selected` and scores its
-/// candidates through ProfitWith. Every candidate value is the rooted
-/// product times one factor regardless of chunk boundaries, so serial and
-/// parallel runs stay bit-identical.
+/// Each chunk builds its own context (see MakeEvalContext) rooted at
+/// `selected` and scores its candidates through ProfitWith. With an
+/// incremental context every candidate value is the rooted product times
+/// one factor regardless of chunk boundaries, so serial and parallel runs
+/// stay bit-identical.
 std::vector<double> ScoreAdditions(
     const ProfitFunction& oracle, const std::vector<SourceHandle>& selected,
     const std::vector<SourceHandle>& candidates, ThreadPool* pool,
@@ -44,18 +45,11 @@ std::vector<double> ScoreAdditions(
     // Runs on pool workers; the span attributes to the construct /
     // local-search span via the pool's task-context propagation.
     FRESHSEL_TRACE_SPAN("selection/oracle/score_chunk");
-    std::unique_ptr<MarginalEvalContext> ctx;
-    if (incremental) ctx = oracle.MakeContext();
-    if (ctx) {
-      ctx->Reset(selected);
-      for (std::size_t i = begin; i < end; ++i) {
-        profits[i] = ctx->ProfitWith(candidates[i]);
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        profits[i] =
-            oracle.Profit(internal::WithAdded(selected, candidates[i]));
-      }
+    const std::unique_ptr<MarginalEvalContext> ctx =
+        MakeEvalContext(oracle, incremental);
+    ctx->Reset(selected);
+    for (std::size_t i = begin; i < end; ++i) {
+      profits[i] = ctx->ProfitWith(candidates[i]);
     }
   };
   if (UseParallel(oracle, pool)) {
@@ -77,18 +71,13 @@ struct Move {
 
 Move BestMoveAt(const ProfitFunction& oracle, const PartitionMatroid* matroid,
                 const std::vector<SourceHandle>& selected, double current,
-                SourceHandle handle, MarginalEvalContext* ctx) {
+                SourceHandle handle, MarginalEvalContext& ctx) {
   const std::size_t n = oracle.universe_size();
   Move best;
   if (!internal::Contains(selected, handle)) {
     if (!Feasible(matroid, selected, handle)) return best;
-    double profit;
-    if (ctx != nullptr) {
-      ctx->Reset(selected);
-      profit = ctx->ProfitWith(handle);
-    } else {
-      profit = oracle.Profit(internal::WithAdded(selected, handle));
-    }
+    ctx.Reset(selected);
+    const double profit = ctx.ProfitWith(handle);
     best.gain = profit - current;
     best.profit = profit;
     best.set = internal::WithAdded(selected, handle);
@@ -99,9 +88,8 @@ Move BestMoveAt(const ProfitFunction& oracle, const PartitionMatroid* matroid,
   // delta evaluation instead of re-scoring the n-long swapped set.
   std::vector<SourceHandle> without =
       internal::WithRemoved(selected, handle);
-  if (ctx != nullptr) ctx->Reset(without);
-  const double removal_profit =
-      ctx != nullptr ? ctx->CurrentProfit() : oracle.Profit(without);
+  ctx.Reset(without);
+  const double removal_profit = ctx.CurrentProfit();
   best.gain = removal_profit - current;
   best.profit = removal_profit;
   best.set = without;
@@ -110,12 +98,7 @@ Move BestMoveAt(const ProfitFunction& oracle, const PartitionMatroid* matroid,
     const SourceHandle other = static_cast<SourceHandle>(d);
     if (internal::Contains(selected, other)) continue;
     if (!Feasible(matroid, without, other)) continue;
-    double profit;
-    if (ctx != nullptr) {
-      profit = ctx->ProfitWith(other);
-    } else {
-      profit = oracle.Profit(internal::WithAdded(without, other));
-    }
+    const double profit = ctx.ProfitWith(other);
     if (profit - current > best.gain) {
       best.gain = profit - current;
       best.profit = profit;
@@ -175,7 +158,6 @@ std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,
                                          std::uint32_t restart) {
   FRESHSEL_TRACE_SPAN("selection/grasp/construct");
   const std::size_t n = oracle.universe_size();
-  const bool use_incremental = incremental && oracle.supports_incremental();
   RoundAudit audit(log, oracle);
   std::vector<SourceHandle> selected;
   double current = oracle.Profit(selected);
@@ -191,7 +173,7 @@ std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,
     }
     if (feasible.empty()) break;
     const std::vector<double> profits =
-        ScoreAdditions(oracle, selected, feasible, pool, use_incremental);
+        ScoreAdditions(oracle, selected, feasible, pool, incremental);
     std::vector<std::pair<double, SourceHandle>> candidates;
     for (std::size_t i = 0; i < feasible.size(); ++i) {
       if (profits[i] - current > kImprovementEps) {
@@ -252,7 +234,6 @@ double GraspLocalSearch(const ProfitFunction& oracle,
                         obs::DecisionLog* log, std::uint32_t restart) {
   FRESHSEL_TRACE_SPAN("selection/grasp/local_search");
   const std::size_t n = oracle.universe_size();
-  const bool use_incremental = incremental && oracle.supports_incremental();
   RoundAudit audit(log, oracle);
   double current = oracle.Profit(selected);
   const bool parallel = UseParallel(oracle, pool);
@@ -262,16 +243,16 @@ double GraspLocalSearch(const ProfitFunction& oracle,
     audit.BeginRound();
     // Best move rooted at each element, then a serial reduction in handle
     // order (strict >, first-wins), so parallel and serial runs pick the
-    // same move. Each chunk gets its own incremental context (contexts
-    // are single-threaded); BestMoveAt re-roots it per element, so move
-    // values do not depend on chunk boundaries.
+    // same move. Each chunk gets its own context (contexts are
+    // single-threaded); BestMoveAt re-roots it per element, so move values
+    // do not depend on chunk boundaries.
     auto score = [&](std::size_t begin, std::size_t end) {
       FRESHSEL_TRACE_SPAN("selection/oracle/score_chunk");
-      std::unique_ptr<MarginalEvalContext> ctx;
-      if (use_incremental) ctx = oracle.MakeContext();
+      const std::unique_ptr<MarginalEvalContext> ctx =
+          MakeEvalContext(oracle, incremental);
       for (std::size_t e = begin; e < end; ++e) {
         moves[e] = BestMoveAt(oracle, matroid, selected, current,
-                              static_cast<SourceHandle>(e), ctx.get());
+                              static_cast<SourceHandle>(e), *ctx);
       }
     };
     if (parallel) {
@@ -308,6 +289,10 @@ double GraspLocalSearch(const ProfitFunction& oracle,
 
 SelectionResult Grasp(const ProfitFunction& oracle, const GraspParams& params,
                       const PartitionMatroid* matroid) {
+  FRESHSEL_CHECK(matroid == nullptr ||
+                 matroid->element_count() >= oracle.universe_size())
+      << "matroid covers " << matroid->element_count()
+      << " elements, the oracle " << oracle.universe_size();
   FRESHSEL_TRACE_SPAN("selection/grasp");
   FRESHSEL_OBS_GAUGE_SET(
       "selection.grasp.pool_threads",

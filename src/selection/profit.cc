@@ -193,13 +193,67 @@ class ProfitOracle::IncrementalContext final : public MarginalEvalContext {
   std::vector<estimation::EstimatedQuality> qualities_;
 };
 
-bool ProfitOracle::supports_incremental() const {
-  return estimator_->SupportsIncremental();
+std::unique_ptr<MarginalEvalContext> ProfitOracle::MakeContext() const {
+  if (!estimator_->SupportsIncremental()) return nullptr;
+  return std::make_unique<IncrementalContext>(this);
 }
 
-std::unique_ptr<MarginalEvalContext> ProfitOracle::MakeContext() const {
-  if (!supports_incremental()) return nullptr;
-  return std::make_unique<IncrementalContext>(this);
+FullEvalContext::FullEvalContext(const ProfitFunction& oracle)
+    : oracle_(&oracle),
+      gain_cost_(dynamic_cast<const GainCostFunction*>(&oracle)) {}
+
+void FullEvalContext::Reset(const std::vector<SourceHandle>& set) {
+  FRESHSEL_DCHECK(std::is_sorted(set.begin(), set.end()))
+      << "Reset expects a canonically sorted set";
+  set_ = set;
+  pushed_ = set;
+}
+
+void FullEvalContext::Push(SourceHandle handle) {
+  pushed_.push_back(handle);
+  set_.insert(std::upper_bound(set_.begin(), set_.end(), handle), handle);
+}
+
+void FullEvalContext::Pop() {
+  FRESHSEL_CHECK(!pushed_.empty()) << "Pop on an empty context";
+  const SourceHandle handle = pushed_.back();
+  pushed_.pop_back();
+  const auto it = std::lower_bound(set_.begin(), set_.end(), handle);
+  FRESHSEL_DCHECK(it != set_.end() && *it == handle);
+  set_.erase(it);
+}
+
+double FullEvalContext::CurrentProfit() { return oracle_->Profit(set_); }
+
+double FullEvalContext::CurrentGain() { return gain_cost().Gain(set_); }
+
+double FullEvalContext::ProfitWith(SourceHandle handle) {
+  return oracle_->Profit(With(handle));
+}
+
+double FullEvalContext::GainWith(SourceHandle handle) {
+  return gain_cost().Gain(With(handle));
+}
+
+const GainCostFunction& FullEvalContext::gain_cost() const {
+  FRESHSEL_CHECK(gain_cost_ != nullptr)
+      << "FullEvalContext gain queries need a GainCostFunction oracle";
+  return *gain_cost_;
+}
+
+const std::vector<SourceHandle>& FullEvalContext::With(SourceHandle handle) {
+  with_.assign(set_.begin(), set_.end());
+  with_.insert(std::upper_bound(with_.begin(), with_.end(), handle), handle);
+  return with_;
+}
+
+std::unique_ptr<MarginalEvalContext> MakeEvalContext(
+    const ProfitFunction& oracle, bool incremental) {
+  if (incremental) {
+    std::unique_ptr<MarginalEvalContext> own = oracle.MakeContext();
+    if (own != nullptr) return own;
+  }
+  return std::make_unique<FullEvalContext>(oracle);
 }
 
 }  // namespace freshsel::selection

@@ -26,7 +26,8 @@ using SourceHandle = estimation::QualityEstimator::SourceHandle;
 /// Calling conventions mirror the plain oracle: `CurrentProfit`/`GainWith`
 /// etc. count one oracle call each (infeasible `ProfitWith`/`CurrentProfit`
 /// return -infinity without counting, exactly like `Profit`), so call
-/// accounting is identical between the incremental and plain paths.
+/// accounting is identical between an oracle's own context and the
+/// `FullEvalContext` adapter below.
 /// Evaluated values agree with the plain oracle to ulp precision - the
 /// factor products are associated in context order rather than set order -
 /// and are bit-identical whenever the context was `Reset` to the canonical
@@ -83,13 +84,10 @@ class ProfitFunction {
   /// mutable scratch state must leave it false.
   virtual bool thread_safe() const { return false; }
 
-  /// True when `MakeContext` returns a working incremental context. The
-  /// algorithms fall back to plain `Profit`/`Gain` calls otherwise, so
-  /// synthetic test oracles need not implement the protocol.
-  virtual bool supports_incremental() const { return false; }
-
   /// A fresh incremental context over the empty set, or null when the
-  /// protocol is unsupported (see `supports_incremental`).
+  /// oracle has none. The algorithms then evaluate through a
+  /// `FullEvalContext` (see `MakeEvalContext`), so synthetic test oracles
+  /// need not implement the protocol.
   virtual std::unique_ptr<MarginalEvalContext> MakeContext() const {
     return nullptr;
   }
@@ -131,6 +129,46 @@ class GainCostFunction : public ProfitFunction {
   /// Budget on `Cost`; +infinity when unconstrained.
   virtual double budget() const = 0;
 };
+
+/// The context of the plain path: it holds the canonical set S and answers
+/// every query with one full oracle evaluation - `ProfitWith(x)` is
+/// `oracle.Profit(S + {x})`, `CurrentGain()` is `oracle.Gain(S)` - so it
+/// makes exactly the calls, with exactly the arguments, that scoring
+/// without a context would. `Push`/`Pop` keep the same stack discipline as
+/// the estimator context. The gain queries need a `GainCostFunction`
+/// oracle. The oracle is not owned and must outlive the context.
+class FullEvalContext final : public MarginalEvalContext {
+ public:
+  explicit FullEvalContext(const ProfitFunction& oracle);
+
+  void Reset(const std::vector<SourceHandle>& set) override;
+  void Push(SourceHandle handle) override;
+  void Pop() override;
+  const std::vector<SourceHandle>& set() const override { return set_; }
+
+  double CurrentProfit() override;
+  double CurrentGain() override;
+  double ProfitWith(SourceHandle handle) override;
+  double GainWith(SourceHandle handle) override;
+
+ private:
+  const GainCostFunction& gain_cost() const;
+  /// set() + {handle}, canonically sorted, built into a reused buffer.
+  const std::vector<SourceHandle>& With(SourceHandle handle);
+
+  const ProfitFunction* oracle_;
+  const GainCostFunction* gain_cost_;  // Null when the oracle is profit-only.
+  std::vector<SourceHandle> set_;
+  std::vector<SourceHandle> pushed_;  // Push order, for Pop.
+  std::vector<SourceHandle> with_;
+};
+
+/// The context the selection algorithms score through: the oracle's own
+/// incremental context when `incremental` is set and `MakeContext` returns
+/// one, otherwise a `FullEvalContext`. Either way the context starts at
+/// the empty set and the selections and call counts are the same.
+std::unique_ptr<MarginalEvalContext> MakeEvalContext(
+    const ProfitFunction& oracle, bool incremental);
 
 /// How per-time-point gains are aggregated over T_f (the paper's A in
 /// Section 2.2, "e.g., average or max"). Only kAverage preserves
@@ -187,13 +225,10 @@ class ProfitOracle : public GainCostFunction {
 
   bool thread_safe() const override { return true; }
 
-  /// True when the estimator supports delta evaluation (effectiveness
-  /// caching on, at least one eval time).
-  bool supports_incremental() const override;
-
   /// An incremental context backed by the estimator's `EvalContext`:
   /// `ProfitWith`/`GainWith` score S + {x} in O(steps * |T_f|),
-  /// independent of |S|. Null when `supports_incremental()` is false.
+  /// independent of |S|. Null unless the estimator supports delta
+  /// evaluation (effectiveness caching on, at least one eval time).
   std::unique_ptr<MarginalEvalContext> MakeContext() const override;
 
   /// Budget on normalized cost (from the config; +infinity by default).

@@ -151,6 +151,17 @@ TEST(GreedyTest, RespectsMatroid) {
   EXPECT_DOUBLE_EQ(result.profit, 9.0);
 }
 
+TEST(GreedyDeathTest, MatroidSmallerThanUniverseIsAContractViolation) {
+  // Handles 3 and 4 have no group: scoring them would read past the
+  // matroid's group table, so both entry points reject the pair up front.
+  ModularFunction f({1.0, 2.0, 3.0, 4.0, 5.0});
+  PartitionMatroid matroid =
+      PartitionMatroid::Create({0, 0, 1}, {1, 1}).value();
+  EXPECT_DEATH(Greedy(f, &matroid), "matroid covers 3 elements");
+  EXPECT_DEATH(Grasp(f, GraspParams{}, &matroid),
+               "matroid covers 3 elements");
+}
+
 TEST(BruteForceTest, FindsOptimum) {
   ModularFunction f({1.0, -2.0, 3.0});
   SelectionResult result = BruteForce(f);

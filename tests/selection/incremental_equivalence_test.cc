@@ -106,7 +106,7 @@ class IncrementalEquivalenceTest
 
 TEST_P(IncrementalEquivalenceTest, GreedyMatchesPlainEagerAndLazy) {
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(p.oracle->supports_incremental());
+  EXPECT_NE(p.oracle->MakeContext(), nullptr);
   for (bool lazy : {false, true}) {
     GreedyOptions plain_opts{lazy, /*incremental=*/false};
     GreedyOptions inc_opts{lazy, /*incremental=*/true};
@@ -184,7 +184,7 @@ TEST_P(IncrementalEquivalenceTest, GraspMatchesPlainSerialAndPooled) {
 TEST_P(IncrementalEquivalenceTest, CachedOracleForwardsIncremental) {
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
   CachedProfitOracle cached(*p.oracle);
-  EXPECT_TRUE(cached.supports_incremental());
+  EXPECT_NE(cached.MakeContext(), nullptr);
   SelectionResult plain =
       Greedy(cached, nullptr, GreedyOptions{true, false});
   SelectionResult incremental =
@@ -224,9 +224,8 @@ TEST_P(IncrementalEquivalenceTest, SelectorFacadeHonorsIncrementalFlag) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
                          ::testing::Values(3u, 11u, 42u));
 
-/// Synthetic oracle without incremental support: the flag must degrade
-/// gracefully to the plain path (supports_incremental() is false, so the
-/// algorithms never ask for a context).
+/// Synthetic oracle without incremental support: MakeContext() is null, so
+/// the flag must degrade gracefully to the full-evaluation context.
 class PlainCoverage : public ProfitFunction {
  public:
   std::size_t universe_size() const override { return 8; }
@@ -240,7 +239,6 @@ class PlainCoverage : public ProfitFunction {
 
 TEST(IncrementalFallbackTest, OracleWithoutSupportUsesPlainPath) {
   PlainCoverage f;
-  EXPECT_FALSE(f.supports_incremental());
   EXPECT_EQ(f.MakeContext(), nullptr);
   SelectionResult on = Greedy(f, nullptr, GreedyOptions{true, true});
   SelectionResult off = Greedy(f, nullptr, GreedyOptions{true, false});

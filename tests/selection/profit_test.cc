@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "estimation/source_profile.h"
 #include "estimation/world_change_model.h"
+#include "selection/set_util.h"
 #include "source/source_simulator.h"
 #include "world/world_simulator.h"
 
@@ -155,6 +158,93 @@ TEST_F(ProfitOracleFixture, GainAveragesPerTimeGains) {
   }
   expected /= 100.0 * static_cast<double>(estimator_->eval_times().size());
   EXPECT_NEAR(oracle.Gain({0}), expected, 1e-12);
+}
+
+TEST_F(ProfitOracleFixture, FullEvalContextStackMatchesEstimatorContext) {
+  ProfitOracle oracle = MakeOracle(ProfitOracle::Config{});
+  const std::unique_ptr<MarginalEvalContext> estimator_ctx =
+      oracle.MakeContext();
+  ASSERT_NE(estimator_ctx, nullptr);
+  FullEvalContext full(oracle);
+  EXPECT_TRUE(full.set().empty());
+  auto expect_same = [&](const std::vector<SourceHandle>& expected) {
+    EXPECT_EQ(full.set(), expected);
+    EXPECT_EQ(estimator_ctx->set(), expected);
+  };
+  for (MarginalEvalContext* ctx : {static_cast<MarginalEvalContext*>(&full),
+                                   estimator_ctx.get()}) {
+    ctx->Reset({2});
+    ctx->Push(0);
+    ctx->Push(1);
+  }
+  expect_same({0, 1, 2});
+  full.Pop();
+  estimator_ctx->Pop();
+  expect_same({0, 2});  // Pop undoes the most recent Push...
+  full.Pop();
+  estimator_ctx->Pop();
+  expect_same({2});  // ...then the one before it...
+  full.Pop();
+  estimator_ctx->Pop();
+  expect_same({});  // ...then the Reset set, last element first.
+  full.Reset({0, 1});
+  estimator_ctx->Reset({0, 1});
+  full.Pop();
+  estimator_ctx->Pop();
+  expect_same({0});
+}
+
+TEST_F(ProfitOracleFixture, FullEvalContextMakesThePlainCalls) {
+  // Budget 0.4 of normalized costs {1/6, 1/3, 1/2}: {2}, {0, 1} and every
+  // larger set are infeasible, so both outcomes of the budget test occur.
+  ProfitOracle::Config config;
+  config.budget = 0.4;
+  ProfitOracle oracle = MakeOracle(config);
+  FullEvalContext full(oracle);
+  // Each query must return the plain call's bits and count its calls.
+  auto expect_plain = [&](auto via_context, auto plain) {
+    const std::uint64_t start = oracle.call_count();
+    const double context_value = via_context();
+    const std::uint64_t context_calls = oracle.call_count() - start;
+    const double plain_value = plain();
+    const std::uint64_t plain_calls =
+        oracle.call_count() - start - context_calls;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(context_value),
+              std::bit_cast<std::uint64_t>(plain_value));
+    EXPECT_EQ(context_calls, plain_calls);
+  };
+  bool saw_infeasible = false;
+  for (std::uint32_t bits = 0; bits < 8; ++bits) {
+    std::vector<SourceHandle> root;
+    for (SourceHandle h = 0; h < 3; ++h) {
+      if ((bits >> h) & 1) root.push_back(h);
+    }
+    full.Reset(root);
+    saw_infeasible = saw_infeasible || std::isinf(oracle.Profit(root));
+    expect_plain([&] { return full.CurrentProfit(); },
+                 [&] { return oracle.Profit(root); });
+    expect_plain([&] { return full.CurrentGain(); },
+                 [&] { return oracle.Gain(root); });
+    for (SourceHandle h = 0; h < 3; ++h) {
+      if (internal::Contains(root, h)) continue;
+      const std::vector<SourceHandle> grown = internal::WithAdded(root, h);
+      expect_plain([&] { return full.ProfitWith(h); },
+                   [&] { return oracle.Profit(grown); });
+      expect_plain([&] { return full.GainWith(h); },
+                   [&] { return oracle.Gain(grown); });
+    }
+  }
+  EXPECT_TRUE(saw_infeasible);
+}
+
+TEST_F(ProfitOracleFixture, MakeEvalContextPrefersTheOraclesOwnContext) {
+  ProfitOracle oracle = MakeOracle(ProfitOracle::Config{});
+  EXPECT_EQ(dynamic_cast<FullEvalContext*>(
+                MakeEvalContext(oracle, /*incremental=*/true).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<FullEvalContext*>(
+                MakeEvalContext(oracle, /*incremental=*/false).get()),
+            nullptr);
 }
 
 }  // namespace
