@@ -579,185 +579,6 @@ void CheckObsCounterName(const FileCtx& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// status-must-use: a bare statement calling a Status/Result-returning
-// function silently drops the error. Paired with [[nodiscard]] on the
-// types themselves (compiler-enforced); the lint rule is the portable
-// cross-check that also covers pre-C++17 style discards.
-
-const std::set<std::string>& StatementKeywords() {
-  static const std::set<std::string>& keywords = *new std::set<std::string>{
-      "return",  "if",     "while",  "for",   "switch", "case",
-      "delete",  "new",    "goto",   "else",  "do",     "break",
-      "continue", "throw", "sizeof", "co_return", "co_await", "using",
-      "static_cast", "const_cast", "reinterpret_cast", "typedef",
-  };
-  return keywords;
-}
-
-/// Parses an identifier starting at `pos`; returns empty when none.
-std::string ParseIdent(const std::string& line, std::size_t* pos) {
-  std::size_t p = *pos;
-  if (p >= line.size() ||
-      (std::isalpha(static_cast<unsigned char>(line[p])) == 0 &&
-       line[p] != '_')) {
-    return std::string();
-  }
-  std::size_t end = p;
-  while (end < line.size() && IsIdentChar(line[end])) ++end;
-  std::string ident = line.substr(p, end - p);
-  *pos = end;
-  return ident;
-}
-
-/// From `(line_index, column)` pointing just past an opening '(' in
-/// `lines`, finds the matching ')' and reports whether the next
-/// non-whitespace character after it is ';' (a discarded-result statement).
-bool CallEndsAsStatement(const std::vector<std::string>& lines,
-                         std::size_t line_index, std::size_t column) {
-  int depth = 1;
-  for (std::size_t i = line_index; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    for (std::size_t p = i == line_index ? column : 0; p < line.size(); ++p) {
-      const char c = line[p];
-      if (c == '(') {
-        ++depth;
-      } else if (c == ')') {
-        if (--depth == 0) {
-          // Matched; look for ';' next (same line or following lines).
-          std::size_t q = p + 1;
-          for (std::size_t j = i; j < lines.size() && j < i + 2; ++j) {
-            const std::string& tail = lines[j];
-            for (std::size_t k = j == i ? q : 0; k < tail.size(); ++k) {
-              if (std::isspace(static_cast<unsigned char>(tail[k])) != 0) {
-                continue;
-              }
-              return tail[k] == ';';
-            }
-          }
-          return false;
-        }
-      }
-    }
-  }
-  return false;
-}
-
-/// Collects names of functions this file declares with a plain `void`
-/// return. The status-must-use set matches by bare name across the whole
-/// tree, so an unrelated local `void PanelA(...)` must not inherit Status
-/// semantics from a same-named function in another file.
-void CollectVoidFunctions(const std::vector<std::string>& lines,
-                          std::set<std::string>* out) {
-  for (const std::string& line : lines) {
-    std::size_t pos = 0;
-    while ((pos = line.find("void", pos)) != std::string::npos) {
-      const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-      std::size_t after = pos + 4;
-      pos = after;
-      if (!left_ok) continue;
-      if (after < line.size() && IsIdentChar(line[after])) continue;
-      while (after < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[after])) != 0) {
-        ++after;
-      }
-      std::string name = ParseIdent(line, &after);
-      if (name.empty()) continue;
-      while (line.compare(after, 2, "::") == 0) {
-        after += 2;
-        const std::string next = ParseIdent(line, &after);
-        if (next.empty()) {
-          name.clear();
-          break;
-        }
-        name = next;
-      }
-      if (name.empty()) continue;
-      if (after >= line.size() || line[after] != '(') continue;
-      out->insert(std::move(name));
-    }
-  }
-}
-
-void CheckStatusMustUse(const FileCtx& ctx,
-                        const StatusFunctions& status_functions,
-                        std::vector<Finding>* findings) {
-  if (status_functions.empty()) return;
-  std::set<std::string> local_void;
-  CollectVoidFunctions(ctx.code, &local_void);
-  std::size_t prev_nonblank = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < ctx.code.size(); ++i) {
-    const std::string& line = ctx.code[i];
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    const std::size_t remember_prev = prev_nonblank;
-    prev_nonblank = i;
-
-    // Statement start heuristic: the previous non-blank code line ended a
-    // statement or opened a block; otherwise this line continues an
-    // expression (e.g. the RHS of an assignment) and the result is used.
-    if (remember_prev != static_cast<std::size_t>(-1)) {
-      const std::string& prev = ctx.code[remember_prev];
-      const std::size_t last = prev.find_last_not_of(" \t");
-      if (last == std::string::npos) continue;
-      const char end = prev[last];
-      if (end != ';' && end != '{' && end != '}' && end != ')' &&
-          end != ':') {
-        continue;
-      }
-      // A backslash continuation means we are inside a macro definition.
-      if (end == '\\') continue;
-    }
-    if (line.back() == '\\') continue;  // Macro definition body.
-
-    // Parse a callee path: ident (:: . ->)* ident, immediately followed by
-    // an opening parenthesis. Anything else is not a bare call statement.
-    std::size_t pos = first;
-    std::string ident = ParseIdent(line, &pos);
-    if (ident.empty()) continue;
-    if (StatementKeywords().count(ident) != 0) continue;
-    std::string last_ident = ident;
-    while (true) {
-      std::size_t p = pos;
-      while (p < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[p])) != 0) {
-        ++p;
-      }
-      if (line.compare(p, 2, "::") == 0 || line.compare(p, 2, "->") == 0) {
-        p += 2;
-      } else if (p < line.size() && line[p] == '.' &&
-                 (p + 1 >= line.size() || line[p + 1] != '.')) {
-        p += 1;
-      } else {
-        pos = p;
-        break;
-      }
-      while (p < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[p])) != 0) {
-        ++p;
-      }
-      const std::string next = ParseIdent(line, &p);
-      if (next.empty()) {
-        pos = p;
-        last_ident.clear();  // Trailing separator: not a plain call path.
-        break;
-      }
-      last_ident = next;
-      pos = p;
-    }
-    if (last_ident.empty()) continue;
-    if (pos >= line.size() || line[pos] != '(') continue;
-    if (status_functions.count(last_ident) == 0) continue;
-    if (local_void.count(last_ident) != 0) continue;
-    if (!CallEndsAsStatement(ctx.code, i, pos + 1)) continue;
-    findings->push_back(
-        {ctx.file, i + 1, "status-must-use",
-         "result of Status/Result-returning '" + last_ident +
-             "' is discarded; check it, FRESHSEL_RETURN_IF_ERROR it, or "
-             "suppress with a reason"});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Suppressions.
 
 void ApplySuppressions(std::vector<Suppression>& suppressions,
@@ -872,8 +693,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "std::mutex family outside src/common/; use annotated "
        "freshsel::Mutex",
        false},
-      {"status-must-use",
-       "Status/Result return values must not be silently discarded", false},
   };
   return catalog;
 }
@@ -948,62 +767,8 @@ std::vector<Suppression> ParseSuppressions(const std::string& raw) {
   return suppressions;
 }
 
-void CollectStatusFunctions(const std::string& stripped,
-                            StatusFunctions* out) {
-  const std::vector<std::string> lines = SplitLines(stripped);
-  for (const std::string& line : lines) {
-    for (std::string_view type : {std::string_view("Status"),
-                                  std::string_view("Result")}) {
-      std::size_t pos = 0;
-      while ((pos = line.find(type, pos)) != std::string::npos) {
-        const bool left_ok = pos == 0 || (!IsIdentChar(line[pos - 1]));
-        std::size_t after = pos + type.size();
-        pos = after;
-        if (!left_ok) continue;
-        if (type == "Result") {
-          // Require and skip the template argument list.
-          if (after >= line.size() || line[after] != '<') continue;
-          int depth = 0;
-          while (after < line.size()) {
-            if (line[after] == '<') ++depth;
-            if (line[after] == '>' && --depth == 0) {
-              ++after;
-              break;
-            }
-            ++after;
-          }
-          if (depth != 0) continue;
-        } else {
-          if (after < line.size() && IsIdentChar(line[after])) continue;
-        }
-        // Parse `name(` or `Class::name(` after the return type.
-        while (after < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[after])) != 0) {
-          ++after;
-        }
-        std::string name = ParseIdent(line, &after);
-        if (name.empty()) continue;
-        while (line.compare(after, 2, "::") == 0) {
-          after += 2;
-          const std::string next = ParseIdent(line, &after);
-          if (next.empty()) {
-            name.clear();
-            break;
-          }
-          name = next;
-        }
-        if (name.empty()) continue;
-        if (after >= line.size() || line[after] != '(') continue;
-        out->insert(std::move(name));
-      }
-    }
-  }
-}
-
 void LintFile(const fs::path& file, const fs::path& relative,
-              const LintOptions& options,
-              const StatusFunctions* status_functions,
-              std::vector<Finding>* findings) {
+              const LintOptions& options, std::vector<Finding>* findings) {
   std::ifstream in(file);
   if (!in) {
     findings->push_back({file.string(), 0, "io", "cannot open file"});
@@ -1046,10 +811,6 @@ void LintFile(const fs::path& file, const fs::path& relative,
   if (RuleEnabled(ctx, "obs-counter-name")) {
     CheckObsCounterName(ctx, &file_findings);
   }
-  if (status_functions != nullptr &&
-      RuleEnabled(ctx, "status-must-use")) {
-    CheckStatusMustUse(ctx, *status_functions, &file_findings);
-  }
   if (RuleEnabled(ctx, "include-guard")) {
     CheckIncludeGuard(ctx, &file_findings);
   }
@@ -1071,8 +832,6 @@ void LintFile(const fs::path& file, const fs::path& relative,
 std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
                                const LintOptions& options,
                                std::size_t* files_scanned) {
-  // Pass 1: enumerate files and collect Status-returning function names
-  // tree-wide, so cross-file discarded calls are caught.
   std::vector<std::pair<fs::path, fs::path>> files;  // (file, relative)
   std::vector<Finding> findings;
   for (const std::string& arg : paths) {
@@ -1096,23 +855,8 @@ std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
     }
   }
 
-  StatusFunctions status_functions;
-  const bool collect = options.disabled_rules.count("status-must-use") == 0;
-  if (collect) {
-    for (const auto& [file, relative] : files) {
-      std::ifstream in(file);
-      if (!in) continue;  // Pass 2 reports the io finding.
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      CollectStatusFunctions(StripCommentsAndStrings(buffer.str()),
-                             &status_functions);
-    }
-  }
-
-  // Pass 2: run the rules.
   for (const auto& [file, relative] : files) {
-    LintFile(file, relative, options,
-             collect ? &status_functions : nullptr, &findings);
+    LintFile(file, relative, options, &findings);
   }
   if (files_scanned != nullptr) *files_scanned = files.size();
   return findings;

@@ -31,10 +31,11 @@ std::string_view StatusCodeName(StatusCode code);
 /// The OK status carries no message and no allocation. Error statuses carry a
 /// code and a free-form message describing what failed.
 ///
-/// [[nodiscard]]: silently dropping a Status return loses the error; the
-/// compiler flags it (and the freshsel_lint status-must-use rule
-/// cross-checks, catching discards the attribute cannot see). Discard
-/// deliberately with `static_cast<void>(...)` plus a lint suppression.
+/// [[nodiscard]]: silently dropping a Status return loses the error, and
+/// every build compiles with -Werror=unused-result, so the compiler rejects
+/// it (a configure-time must-fail fixture, tests/common/
+/// nodiscard_must_fail.cc, proves the check is armed). Discard deliberately
+/// with `static_cast<void>(...)` and a comment saying why.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
