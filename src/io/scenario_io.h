@@ -1,6 +1,8 @@
 #ifndef FRESHSEL_IO_SCENARIO_IO_H_
 #define FRESHSEL_IO_SCENARIO_IO_H_
 
+#include <fstream>
+#include <istream>
 #include <string>
 
 #include "common/result.h"
@@ -44,6 +46,19 @@ Status WriteSourceHistoryCsv(const source::SourceHistory& history,
 
 /// Reads a source history written by WriteSourceHistoryCsv.
 Result<source::SourceHistory> ReadSourceHistoryCsv(const std::string& path);
+
+/// The two halves of a read, for callers that open files in one place and
+/// parse them in another (serve::ReadScenarioDir opens a scenario's files
+/// serially under its retry policy, then parses them in parallel).
+/// OpenScenarioCsv is the `io.read` failpoint plus the open: Unavailable
+/// for an injected fault, IoError when the file cannot be opened. The
+/// parsers read one line at a time into a reused buffer, name `path` in
+/// their errors, and return IoError("read failed: <path>") when the stream
+/// fails mid-read rather than reporting a truncated file.
+Result<std::ifstream> OpenScenarioCsv(const std::string& path);
+Result<world::World> ParseWorldCsv(std::istream& in, const std::string& path);
+Result<source::SourceHistory> ParseSourceHistoryCsv(std::istream& in,
+                                                    const std::string& path);
 
 /// Retrying variants for flaky storage (see DESIGN.md §11): the plain
 /// loaders above carry `io.read` / `io.write` failpoints at their entry,
