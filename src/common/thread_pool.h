@@ -83,6 +83,25 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
+/// Runs `task(i)` once for every i in [0, sizes.size()), where `sizes[i]`
+/// estimates task i's cost, and returns when all have finished. For uneven
+/// independent work such as a scenario's files or per-source fits.
+///
+/// - The work runs on a pool made for this call alone, of
+///   min(hardware_concurrency, 8, n) threads with the caller counted as
+///   one, never on Shared(): concurrent callers (two daemon connections
+///   loading at once) cannot collide on one pool.
+/// - Threads claim the pending task with the largest size next (ties by
+///   lower index). ParallelFor's fixed contiguous chunks would put
+///   neighbouring large tasks into one chunk.
+/// - Spans opened in `task` attribute to the caller's span.
+/// - Callers that write results by index get output independent of the
+///   thread count and the schedule.
+/// - On glibc, memory the tasks freed is returned to the OS afterwards
+///   (see the definition).
+void RunLargestFirst(const std::vector<std::uint64_t>& sizes,
+                     const std::function<void(std::size_t)>& task);
+
 }  // namespace freshsel
 
 #endif  // FRESHSEL_COMMON_THREAD_POOL_H_

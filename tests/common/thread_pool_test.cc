@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -106,6 +107,53 @@ TEST(ThreadPoolTest, SharedPoolIsUsableSingleton) {
   });
   EXPECT_EQ(covered.load(), 100u);
   EXPECT_EQ(&shared, &ThreadPool::Shared());
+}
+
+TEST(RunLargestFirstTest, RunsEveryTaskExactlyOnce) {
+  for (std::size_t n : {0u, 1u, 2u, 3u, 9u, 44u, 300u}) {
+    std::vector<std::uint64_t> sizes(n);
+    for (std::size_t i = 0; i < n; ++i) sizes[i] = (i * 7919) % 13;
+    std::vector<std::atomic<int>> hits(n);
+    RunLargestFirst(sizes, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(RunLargestFirstTest, ResultsByIndexDoNotDependOnSchedule) {
+  std::vector<std::uint64_t> sizes = {5, 900, 5, 900, 1, 0, 70};
+  std::vector<std::int64_t> expected(sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    expected[i] = static_cast<std::int64_t>(sizes[i] * 3 + i);
+  }
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    std::vector<std::int64_t> out(sizes.size(), -1);
+    RunLargestFirst(sizes, [&](std::size_t i) {
+      out[i] = static_cast<std::int64_t>(sizes[i] * 3 + i);
+    });
+    EXPECT_EQ(out, expected);
+  }
+}
+
+TEST(RunLargestFirstTest, ConcurrentCallersUseSeparatePools) {
+  // Two coordinators at once (as two daemon connections loading scenarios
+  // would be) must each see all of their own tasks run.
+  std::atomic<std::size_t> total{0};
+  auto caller = [&total] {
+    for (int round = 0; round < 20; ++round) {
+      RunLargestFirst(std::vector<std::uint64_t>(16, 1), [&](std::size_t) {
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  };
+  std::thread a(caller);
+  std::thread b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(total.load(), 2u * 20u * 16u);
 }
 
 }  // namespace
