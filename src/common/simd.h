@@ -2,27 +2,27 @@
 #define FRESHSEL_COMMON_SIMD_H_
 
 #include <cstddef>
+#include <vector>
 
-/// Portable SIMD kernels for the estimator hot loops (DESIGN.md §13).
+/// SIMD kernels for the estimator hot loops (DESIGN.md §13).
 ///
-/// The backend is selected at configure time from what the compiler's
-/// target ISA provides (CMake `FRESHSEL_SIMD`):
-///   - `-DFRESHSEL_SIMD=avx2`   adds -mavx2 -mfma; `__AVX2__` picks AVX2.
-///   - `-DFRESHSEL_SIMD=scalar` defines FRESHSEL_SIMD_FORCE_SCALAR and
-///     forces the portable loops even on a vector-capable target (the CI
-///     fallback entry).
-///   - `-DFRESHSEL_SIMD=auto`   (default) uses whatever `__AVX2__` /
-///     `__ARM_NEON` the toolchain already targets.
-/// Runtime dispatch was deliberately left out: the estimator tables are
-/// built per process and every deployment compiles for a known fleet ISA,
-/// so a configure-time choice keeps the kernels branch-free.
+/// The backend is chosen at run time: common/cpu_dispatch.h reads the CPU
+/// once and every call below goes through the function table of the
+/// fastest variant it supports. On x86-64 that is "avx2" (AVX2 + FMA
+/// intrinsics, compiled through a function `target` attribute) when the
+/// CPU has both, else "scalar"; on aarch64 it is "neon", a compile-time
+/// choice since NEON is baseline there. A build configured with
+/// `-DFRESHSEL_SIMD=scalar` forces "scalar" on any CPU, so the fallback
+/// stays tested on vector hardware.
 ///
 /// Two kinds of kernels, with different exactness contracts:
 ///
 /// *Elementwise* kernels (`MulInPlace`, `MulInPlaceFloored`) perform one
 /// IEEE operation per lane with no cross-lane interaction, so the
 /// vectorized results are bit-identical to the scalar loop on every
-/// backend. The exact estimation path uses them freely.
+/// backend. The exact estimation path uses them freely. The whole program
+/// is compiled with `-ffp-contract=off`, so no `a * b + c` on that path is
+/// fused into an FMA on a target that has one.
 ///
 /// *Reduction* kernels (`DotOneMinus*`, `ScaledSumOneMinus*`) re-associate
 /// the accumulation into vector lanes (4 partial sums + a horizontal fold
@@ -32,32 +32,9 @@
 /// (CLI `--fast-math-kernels`); the default exact path keeps the original
 /// scalar-order accumulation for bit-identity. `freshsel::simd::scalar`
 /// always provides the reference implementations so the kernel-equivalence
-/// tests can compare the active backend against scalar order on any build.
-#if defined(FRESHSEL_SIMD_FORCE_SCALAR)
-#define FRESHSEL_SIMD_BACKEND_NAME "scalar"
-#elif defined(__AVX2__)
-#define FRESHSEL_SIMD_BACKEND_AVX2 1
-#define FRESHSEL_SIMD_BACKEND_NAME "avx2"
-#include <immintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define FRESHSEL_SIMD_BACKEND_NEON 1
-#define FRESHSEL_SIMD_BACKEND_NAME "neon"
-#include <arm_neon.h>
-#else
-#define FRESHSEL_SIMD_BACKEND_NAME "scalar"
-#endif
+/// tests can compare every backend against scalar order on any build.
 
 namespace freshsel::simd {
-
-/// Compile-time backend id, surfaced by the benches and the CI gates so a
-/// run's provenance is visible in its metrics.
-inline constexpr const char* kBackendName = FRESHSEL_SIMD_BACKEND_NAME;
-inline constexpr bool kVectorized =
-#if defined(FRESHSEL_SIMD_BACKEND_AVX2) || defined(FRESHSEL_SIMD_BACKEND_NEON)
-    true;
-#else
-    false;
-#endif
 
 // ---------------------------------------------------------------------------
 // Scalar reference implementations. Exact scalar-order semantics; the
@@ -117,269 +94,63 @@ inline double ScaledSumOneMinusMul(double scale, const double* m,
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
-// AVX2 backend: 4 doubles per operation, FMA accumulation where the
-// toolchain provides it (-mfma; FRESHSEL_SIMD=avx2 always does).
+// Dispatch.
 
-#if defined(FRESHSEL_SIMD_BACKEND_AVX2)
+/// One backend's kernels, each with the signature of its scalar reference.
+struct Kernels {
+  const char* name;  ///< "avx2", "neon" or "scalar".
+  bool vectorized;
+  void (*mul_in_place)(double* dst, const double* src, std::size_t n);
+  void (*mul_in_place_floored)(double* dst, const double* src, std::size_t n,
+                               double floor);
+  double (*dot_one_minus)(const double* w, const double* m, std::size_t n);
+  double (*dot_one_minus_mul)(const double* w, const double* m,
+                              const double* c, std::size_t n);
+  double (*scaled_sum_one_minus)(double scale, const double* m,
+                                 std::size_t n);
+  double (*scaled_sum_one_minus_mul)(double scale, const double* m,
+                                     const double* c, std::size_t n);
+};
 
-namespace detail {
+/// The backend the calls below run: the fastest the CPU supports.
+const Kernels& ActiveKernels();
 
-inline double HorizontalSum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d sum2 = _mm_add_pd(lo, hi);
-  const __m128d swapped = _mm_unpackhi_pd(sum2, sum2);
-  return _mm_cvtsd_f64(_mm_add_sd(sum2, swapped));
-}
+/// Every backend this CPU can run, fastest first, "scalar" last.
+std::vector<const Kernels*> SupportedKernels();
 
-inline __m256d FusedMulAdd(__m256d a, __m256d b, __m256d acc) {
-#if defined(__FMA__)
-  return _mm256_fmadd_pd(a, b, acc);
-#else
-  return _mm256_add_pd(_mm256_mul_pd(a, b), acc);
-#endif
-}
-
-}  // namespace detail
+/// The active backend's name and whether it is vectorized, surfaced by the
+/// benches and the CI gates so a run's provenance is visible in its
+/// metrics.
+inline const char* const kBackendName = ActiveKernels().name;
+inline const bool kVectorized = ActiveKernels().vectorized;
 
 inline void MulInPlace(double* dst, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] *= src[i];
+  ActiveKernels().mul_in_place(dst, src, n);
 }
 
 inline void MulInPlaceFloored(double* dst, const double* src, std::size_t n,
                               double floor) {
-  const __m256d f = _mm256_set1_pd(floor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(dst + i),
-                                    _mm256_loadu_pd(src + i));
-    _mm256_storeu_pd(dst + i, _mm256_max_pd(p, f));
-  }
-  for (; i < n; ++i) {
-    const double p = dst[i] * src[i];
-    dst[i] = p > floor ? p : floor;
-  }
+  ActiveKernels().mul_in_place_floored(dst, src, n, floor);
 }
 
-// The reductions run 4 independent accumulators (16 doubles per
-// iteration): a single FMA chain is bound by the FMA's ~4-cycle latency,
-// while 4 chains keep both FMA ports busy and quadruple throughput on the
-// estimator's |t - t0|-length folds. The extra reassociation is covered by
-// the same reordered-summation bound the tests assert.
-
 inline double DotOneMinus(const double* w, const double* m, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-    acc1 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i + 4),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 4)), acc1);
-    acc2 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i + 8),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 8)), acc2);
-    acc3 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i + 12),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 12)), acc3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-  }
-  double out = detail::HorizontalSum(
-      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i]);
-  return out;
+  return ActiveKernels().dot_one_minus(w, m, n);
 }
 
 inline double DotOneMinusMul(const double* w, const double* m,
                              const double* c, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d miss0 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(_mm256_loadu_pd(w + i),
-                               _mm256_sub_pd(one, miss0), acc0);
-    const __m256d miss1 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i + 4), _mm256_loadu_pd(c + i + 4));
-    acc1 = detail::FusedMulAdd(_mm256_loadu_pd(w + i + 4),
-                               _mm256_sub_pd(one, miss1), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d miss =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(_mm256_loadu_pd(w + i),
-                               _mm256_sub_pd(one, miss), acc0);
-  }
-  double out = detail::HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i] * c[i]);
-  return out;
+  return ActiveKernels().dot_one_minus_mul(w, m, c, n);
 }
 
 inline double ScaledSumOneMinus(double scale, const double* m,
                                 std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d s = _mm256_set1_pd(scale);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = detail::FusedMulAdd(
-        s, _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-    acc1 = detail::FusedMulAdd(
-        s, _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 4)), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = detail::FusedMulAdd(
-        s, _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-  }
-  double out = detail::HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) out += scale * (1.0 - m[i]);
-  return out;
+  return ActiveKernels().scaled_sum_one_minus(scale, m, n);
 }
 
 inline double ScaledSumOneMinusMul(double scale, const double* m,
                                    const double* c, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d s = _mm256_set1_pd(scale);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d miss0 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(s, _mm256_sub_pd(one, miss0), acc0);
-    const __m256d miss1 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i + 4), _mm256_loadu_pd(c + i + 4));
-    acc1 = detail::FusedMulAdd(s, _mm256_sub_pd(one, miss1), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d miss =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(s, _mm256_sub_pd(one, miss), acc0);
-  }
-  double out = detail::HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) out += scale * (1.0 - m[i] * c[i]);
-  return out;
+  return ActiveKernels().scaled_sum_one_minus_mul(scale, m, c, n);
 }
-
-#elif defined(FRESHSEL_SIMD_BACKEND_NEON)
-
-// NEON backend: 2 doubles per operation (aarch64 float64x2_t).
-
-namespace detail {
-
-inline double HorizontalSum(float64x2_t v) { return vaddvq_f64(v); }
-
-}  // namespace detail
-
-inline void MulInPlace(double* dst, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vmulq_f64(vld1q_f64(dst + i), vld1q_f64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] *= src[i];
-}
-
-inline void MulInPlaceFloored(double* dst, const double* src, std::size_t n,
-                              double floor) {
-  const float64x2_t f = vdupq_n_f64(floor);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t p =
-        vmulq_f64(vld1q_f64(dst + i), vld1q_f64(src + i));
-    vst1q_f64(dst + i, vmaxq_f64(p, f));
-  }
-  for (; i < n; ++i) {
-    const double p = dst[i] * src[i];
-    dst[i] = p > floor ? p : floor;
-  }
-}
-
-inline double DotOneMinus(const double* w, const double* m, std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = vfmaq_f64(acc, vld1q_f64(w + i),
-                    vsubq_f64(one, vld1q_f64(m + i)));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i]);
-  return out;
-}
-
-inline double DotOneMinusMul(const double* w, const double* m,
-                             const double* c, std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t miss = vmulq_f64(vld1q_f64(m + i), vld1q_f64(c + i));
-    acc = vfmaq_f64(acc, vld1q_f64(w + i), vsubq_f64(one, miss));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i] * c[i]);
-  return out;
-}
-
-inline double ScaledSumOneMinus(double scale, const double* m,
-                                std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t s = vdupq_n_f64(scale);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = vfmaq_f64(acc, s, vsubq_f64(one, vld1q_f64(m + i)));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += scale * (1.0 - m[i]);
-  return out;
-}
-
-inline double ScaledSumOneMinusMul(double scale, const double* m,
-                                   const double* c, std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t s = vdupq_n_f64(scale);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t miss = vmulq_f64(vld1q_f64(m + i), vld1q_f64(c + i));
-    acc = vfmaq_f64(acc, s, vsubq_f64(one, miss));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += scale * (1.0 - m[i] * c[i]);
-  return out;
-}
-
-#else
-
-// Scalar backend (forced or no vector ISA): the reference implementations
-// are the active ones.
-
-using scalar::DotOneMinus;
-using scalar::DotOneMinusMul;
-using scalar::MulInPlace;
-using scalar::MulInPlaceFloored;
-using scalar::ScaledSumOneMinus;
-using scalar::ScaledSumOneMinusMul;
-
-#endif
 
 }  // namespace freshsel::simd
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -150,6 +152,102 @@ TEST(BitVectorTest, EqualityComparesContents) {
   b.Set(10);
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == BitVector(65));
+}
+
+// ---------------------------------------------------------------------------
+// Popcount variants (common/cpu_dispatch.h): every variant this CPU can run
+// must return exactly the counts of a bit-by-bit reference.
+
+std::size_t NaivePopcount(std::uint64_t word) {
+  std::size_t bits = 0;
+  for (; word != 0; word >>= 1) bits += word & 1u;
+  return bits;
+}
+
+// Word patterns with runs of zeros, ones and mixed words, so every variant
+// sees all-zero, all-one and sparse words.
+std::vector<std::uint64_t> RandomWords(Rng& rng, std::size_t n) {
+  std::vector<std::uint64_t> out(n);
+  for (std::uint64_t& word : out) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.2) {
+      word = 0;
+    } else if (roll < 0.3) {
+      word = ~std::uint64_t{0};
+    } else if (roll < 0.5) {
+      word = std::uint64_t{1} << rng.NextBounded(64);
+    } else {
+      word = rng.Next();
+    }
+  }
+  return out;
+}
+
+TEST(BitVectorTest, SupportedPopcountVariantsEndWithScalar) {
+  const std::vector<const PopcountKernels*> variants =
+      SupportedPopcountKernels();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants.back()->name, "scalar");
+}
+
+TEST(BitVectorTest, PopcountVariantsMatchBitByBitReference) {
+  // Word counts 0..9 plus longer arrays, including the BL signature width
+  // (85,631 bits = 1,338 words).
+  const std::size_t word_counts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 63, 1338};
+  for (const PopcountKernels* variant : SupportedPopcountKernels()) {
+    Rng rng(41);
+    for (std::size_t n : word_counts) {
+      const std::vector<std::uint64_t> a = RandomWords(rng, n);
+      const std::vector<std::uint64_t> b = RandomWords(rng, n);
+      const std::vector<std::uint64_t> c = RandomWords(rng, n);
+      std::size_t count = 0;
+      std::size_t inter = 0;
+      std::size_t uni = 0;
+      std::size_t uni3 = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        count += NaivePopcount(a[i]);
+        inter += NaivePopcount(a[i] & b[i]);
+        uni += NaivePopcount(a[i] | b[i]);
+        uni3 += NaivePopcount(a[i] | b[i] | c[i]);
+      }
+      const std::uint64_t* arrays[] = {a.data(), b.data(), c.data()};
+      const std::string where =
+          std::string(variant->name) + " words=" + std::to_string(n);
+      EXPECT_EQ(variant->count(a.data(), n), count) << where;
+      EXPECT_EQ(variant->intersect_count(a.data(), b.data(), n), inter)
+          << where;
+      EXPECT_EQ(variant->union_count(a.data(), b.data(), n), uni) << where;
+      EXPECT_EQ(variant->union_count_of(arrays, 3, n), uni3) << where;
+      EXPECT_EQ(variant->union_count_of(arrays, 1, n), count) << where;
+      EXPECT_EQ(variant->union_count_of(arrays, 0, n), 0u) << where;
+    }
+  }
+}
+
+TEST(BitVectorTest, CountsAtWidthsNotMultipleOf64) {
+  for (std::size_t width : {1u, 63u, 65u, 127u, 129u, 1000u, 85631u}) {
+    Rng rng(width);
+    BitVector a(width);
+    BitVector b(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      if (rng.NextDouble() < 0.3) a.Set(i);
+      if (rng.NextDouble() < 0.6) b.Set(i);
+    }
+    // The last bit is set in one of them, so the tail word is exercised.
+    a.Set(width - 1);
+    std::size_t count = 0;
+    std::size_t inter = 0;
+    std::size_t uni = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      count += a.Test(i);
+      inter += a.Test(i) && b.Test(i);
+      uni += a.Test(i) || b.Test(i);
+    }
+    EXPECT_EQ(a.Count(), count) << width;
+    EXPECT_EQ(a.IntersectCount(b), inter) << width;
+    EXPECT_EQ(a.UnionCount(b), uni) << width;
+    EXPECT_EQ(BitVector::UnionCountOf({&a, &b}), uni) << width;
+  }
 }
 
 }  // namespace

@@ -43,38 +43,55 @@ constexpr double kFloor = 1e-250;
 TEST(SimdTest, BackendNameIsKnown) {
   const std::string name = kBackendName;
   EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar") << name;
+  EXPECT_EQ(kBackendName, ActiveKernels().name);
+  EXPECT_EQ(kVectorized, name != "scalar");
+}
+
+// Every backend this CPU can run is checked, not only the active one, so a
+// host with AVX2 tests the AVX2 and the scalar table in one run.
+TEST(SimdTest, SupportedBackendsEndWithScalar) {
+  const std::vector<const Kernels*> backends = SupportedKernels();
+  ASSERT_FALSE(backends.empty());
+  EXPECT_STREQ(backends.back()->name, "scalar");
+  EXPECT_FALSE(backends.back()->vectorized);
 }
 
 // Elementwise kernels carry a bit-identity contract: every backend must
 // match the scalar reference exactly, including remainder lanes.
 TEST(SimdTest, MulInPlaceBitIdenticalToScalar) {
-  Rng rng(7);
-  for (std::size_t n : kSizes) {
-    for (int rep = 0; rep < 8; ++rep) {
-      std::vector<double> dst = RandomFactors(rng, n);
-      const std::vector<double> src = RandomFactors(rng, n);
-      std::vector<double> ref = dst;
-      MulInPlace(dst.data(), src.data(), n);
-      scalar::MulInPlace(ref.data(), src.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(dst[i], ref[i]) << "n=" << n << " i=" << i;
+  for (const Kernels* backend : SupportedKernels()) {
+    Rng rng(7);
+    for (std::size_t n : kSizes) {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::vector<double> dst = RandomFactors(rng, n);
+        const std::vector<double> src = RandomFactors(rng, n);
+        std::vector<double> ref = dst;
+        backend->mul_in_place(dst.data(), src.data(), n);
+        scalar::MulInPlace(ref.data(), src.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(dst[i], ref[i])
+              << backend->name << " n=" << n << " i=" << i;
+        }
       }
     }
   }
 }
 
 TEST(SimdTest, MulInPlaceFlooredBitIdenticalToScalar) {
-  Rng rng(11);
-  for (std::size_t n : kSizes) {
-    for (int rep = 0; rep < 8; ++rep) {
-      std::vector<double> dst = RandomFactors(rng, n);
-      const std::vector<double> src = RandomFactors(rng, n);
-      std::vector<double> ref = dst;
-      MulInPlaceFloored(dst.data(), src.data(), n, kFloor);
-      scalar::MulInPlaceFloored(ref.data(), src.data(), n, kFloor);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(dst[i], ref[i]) << "n=" << n << " i=" << i;
-        EXPECT_GE(dst[i], kFloor);
+  for (const Kernels* backend : SupportedKernels()) {
+    Rng rng(11);
+    for (std::size_t n : kSizes) {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::vector<double> dst = RandomFactors(rng, n);
+        const std::vector<double> src = RandomFactors(rng, n);
+        std::vector<double> ref = dst;
+        backend->mul_in_place_floored(dst.data(), src.data(), n, kFloor);
+        scalar::MulInPlaceFloored(ref.data(), src.data(), n, kFloor);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(dst[i], ref[i])
+              << backend->name << " n=" << n << " i=" << i;
+          EXPECT_GE(dst[i], kFloor);
+        }
       }
     }
   }
@@ -83,12 +100,15 @@ TEST(SimdTest, MulInPlaceFlooredBitIdenticalToScalar) {
 TEST(SimdTest, MulInPlaceFlooredClampsUnderflow) {
   // Repeated tiny factors would denormalize and flush to zero without the
   // floor; with it the product parks exactly at the floor.
-  std::vector<double> dst(5, 1.0);
-  std::vector<double> tiny(5, 1e-130);
-  for (int pushes = 0; pushes < 4; ++pushes) {
-    MulInPlaceFloored(dst.data(), tiny.data(), dst.size(), kFloor);
+  for (const Kernels* backend : SupportedKernels()) {
+    std::vector<double> dst(5, 1.0);
+    std::vector<double> tiny(5, 1e-130);
+    for (int pushes = 0; pushes < 4; ++pushes) {
+      backend->mul_in_place_floored(dst.data(), tiny.data(), dst.size(),
+                                    kFloor);
+    }
+    for (double v : dst) EXPECT_EQ(v, kFloor) << backend->name;
   }
-  for (double v : dst) EXPECT_EQ(v, kFloor);
 }
 
 // Reduction kernels re-associate the accumulation, so the contract is a
@@ -105,56 +125,70 @@ void ExpectWithinReassociationBound(double got, double want,
 }
 
 TEST(SimdTest, DotOneMinusWithinBoundOfScalar) {
-  Rng rng(13);
-  for (std::size_t n : kSizes) {
-    const std::vector<double> w = RandomWeights(rng, n);
-    const std::vector<double> m = RandomFactors(rng, n);
-    const double got = DotOneMinus(w.data(), m.data(), n);
-    const double want = scalar::DotOneMinus(w.data(), m.data(), n);
-    double mag = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mag += std::abs(w[i]);
-    ExpectWithinReassociationBound(got, want, mag, n);
+  for (const Kernels* backend : SupportedKernels()) {
+    SCOPED_TRACE(backend->name);
+    Rng rng(13);
+    for (std::size_t n : kSizes) {
+      const std::vector<double> w = RandomWeights(rng, n);
+      const std::vector<double> m = RandomFactors(rng, n);
+      const double got = backend->dot_one_minus(w.data(), m.data(), n);
+      const double want = scalar::DotOneMinus(w.data(), m.data(), n);
+      double mag = 0.0;
+      for (std::size_t i = 0; i < n; ++i) mag += std::abs(w[i]);
+      ExpectWithinReassociationBound(got, want, mag, n);
+    }
   }
 }
 
 TEST(SimdTest, DotOneMinusMulWithinBoundOfScalar) {
-  Rng rng(17);
-  for (std::size_t n : kSizes) {
-    const std::vector<double> w = RandomWeights(rng, n);
-    const std::vector<double> m = RandomFactors(rng, n);
-    const std::vector<double> c = RandomFactors(rng, n);
-    const double got = DotOneMinusMul(w.data(), m.data(), c.data(), n);
-    const double want =
-        scalar::DotOneMinusMul(w.data(), m.data(), c.data(), n);
-    double mag = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mag += std::abs(w[i]);
-    ExpectWithinReassociationBound(got, want, mag, n);
+  for (const Kernels* backend : SupportedKernels()) {
+    SCOPED_TRACE(backend->name);
+    Rng rng(17);
+    for (std::size_t n : kSizes) {
+      const std::vector<double> w = RandomWeights(rng, n);
+      const std::vector<double> m = RandomFactors(rng, n);
+      const std::vector<double> c = RandomFactors(rng, n);
+      const double got =
+          backend->dot_one_minus_mul(w.data(), m.data(), c.data(), n);
+      const double want =
+          scalar::DotOneMinusMul(w.data(), m.data(), c.data(), n);
+      double mag = 0.0;
+      for (std::size_t i = 0; i < n; ++i) mag += std::abs(w[i]);
+      ExpectWithinReassociationBound(got, want, mag, n);
+    }
   }
 }
 
 TEST(SimdTest, ScaledSumOneMinusWithinBoundOfScalar) {
-  Rng rng(19);
-  for (std::size_t n : kSizes) {
-    const std::vector<double> m = RandomFactors(rng, n);
-    const double scale = 1.7;
-    const double got = ScaledSumOneMinus(scale, m.data(), n);
-    const double want = scalar::ScaledSumOneMinus(scale, m.data(), n);
-    ExpectWithinReassociationBound(got, want,
-                                   scale * static_cast<double>(n), n);
+  for (const Kernels* backend : SupportedKernels()) {
+    SCOPED_TRACE(backend->name);
+    Rng rng(19);
+    for (std::size_t n : kSizes) {
+      const std::vector<double> m = RandomFactors(rng, n);
+      const double scale = 1.7;
+      const double got = backend->scaled_sum_one_minus(scale, m.data(), n);
+      const double want = scalar::ScaledSumOneMinus(scale, m.data(), n);
+      ExpectWithinReassociationBound(got, want,
+                                     scale * static_cast<double>(n), n);
+    }
   }
 }
 
 TEST(SimdTest, ScaledSumOneMinusMulWithinBoundOfScalar) {
-  Rng rng(23);
-  for (std::size_t n : kSizes) {
-    const std::vector<double> m = RandomFactors(rng, n);
-    const std::vector<double> c = RandomFactors(rng, n);
-    const double scale = 0.42;
-    const double got = ScaledSumOneMinusMul(scale, m.data(), c.data(), n);
-    const double want =
-        scalar::ScaledSumOneMinusMul(scale, m.data(), c.data(), n);
-    ExpectWithinReassociationBound(got, want,
-                                   scale * static_cast<double>(n), n);
+  for (const Kernels* backend : SupportedKernels()) {
+    SCOPED_TRACE(backend->name);
+    Rng rng(23);
+    for (std::size_t n : kSizes) {
+      const std::vector<double> m = RandomFactors(rng, n);
+      const std::vector<double> c = RandomFactors(rng, n);
+      const double scale = 0.42;
+      const double got =
+          backend->scaled_sum_one_minus_mul(scale, m.data(), c.data(), n);
+      const double want =
+          scalar::ScaledSumOneMinusMul(scale, m.data(), c.data(), n);
+      ExpectWithinReassociationBound(got, want,
+                                     scale * static_cast<double>(n), n);
+    }
   }
 }
 
