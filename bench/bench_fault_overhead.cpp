@@ -7,10 +7,8 @@
 // construction, which doubles as a regression test that the macros really
 // do expand to static_cast<void>(0).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
 #include "bench_util.h"
 #include "fault/failpoint.h"
@@ -19,14 +17,8 @@
 namespace {
 
 constexpr std::size_t kIterations = 10000;
-constexpr int kReps = 7;
+constexpr int kPairs = 21;
 constexpr double kMaxOverhead = 0.05;
-
-double TimeOnce(double (*workload)(std::size_t), double* sink) {
-  freshsel::obs::WallTimer timer;
-  *sink += workload(kIterations);
-  return timer.ElapsedSeconds();
-}
 
 }  // namespace
 
@@ -43,22 +35,17 @@ int main(int argc, char** argv) {
   sink += freshsel::bench::fault_off::RunWorkload(kIterations / 10);
   sink += freshsel::bench::fault_on::RunWorkload(kIterations / 10);
 
-  // Interleave the twins rep-by-rep and keep the best of each: a load
-  // spike or frequency shift then hits both sides instead of biasing
-  // whichever twin happened to run during it. `min` absorbs scheduler
-  // noise far better than the mean on a gate this tight.
-  double off_s = std::numeric_limits<double>::infinity();
-  double on_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    off_s = std::min(
-        off_s, TimeOnce(freshsel::bench::fault_off::RunWorkload, &sink));
-    on_s = std::min(
-        on_s, TimeOnce(freshsel::bench::fault_on::RunWorkload, &sink));
-  }
-  const double overhead = (on_s - off_s) / off_s;
+  const freshsel::bench::TwinTiming timing = freshsel::bench::CompareTwins(
+      freshsel::bench::fault_off::RunWorkload,
+      freshsel::bench::fault_on::RunWorkload, kIterations, kPairs, &sink);
+  const double off_s = timing.off_seconds;
+  const double on_s = timing.on_seconds;
+  const double overhead = timing.overhead;
 
-  std::printf("fault overhead micro-bench (%zu iterations, best of %d)\n",
-              kIterations, kReps);
+  std::printf(
+      "fault overhead micro-bench (%zu iterations, median of %d "
+      "interleaved pairs)\n",
+      kIterations, kPairs);
   std::printf("  plain          : %8.2f ns/iter\n",
               off_s * 1e9 / static_cast<double>(kIterations));
   std::printf("  with failpoints: %8.2f ns/iter\n",

@@ -167,10 +167,7 @@ void BM_EstimateIncrementalDelta(benchmark::State& state) {
   auto estimator = MakeEstimator(fixture, 60);
   estimation::QualityEstimator::EvalContext ctx =
       estimator.MakeEvalContext();
-  for (const auto handle :
-       FirstK(static_cast<std::size_t>(state.range(0)))) {
-    ctx.Push(handle);
-  }
+  ctx.Reset(FirstK(static_cast<std::size_t>(state.range(0))));
   const auto candidate = static_cast<
       estimation::QualityEstimator::SourceHandle>(
       estimator.source_count() - 1);

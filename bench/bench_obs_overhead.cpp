@@ -7,12 +7,8 @@
 // construction, which doubles as a regression test that the macros really
 // do expand to nothing.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <limits>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "obs_overhead_workload.h"
@@ -20,20 +16,8 @@
 namespace {
 
 constexpr std::size_t kIterations = 50000;
-constexpr int kReps = 7;
+constexpr int kPairs = 21;
 constexpr double kMaxOverhead = 0.05;
-
-/// Best-of-reps seconds for one twin. `min` absorbs scheduler noise far
-/// better than the mean on a gate this tight.
-double BestSeconds(double (*workload)(std::size_t), double* sink) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    freshsel::obs::WallTimer timer;
-    *sink += workload(kIterations);
-    best = std::min(best, timer.ElapsedSeconds());
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -49,16 +33,17 @@ int main(int argc, char** argv) {
   sink += freshsel::bench::obs_off::RunWorkload(kIterations / 10);
   sink += freshsel::bench::obs_on::RunWorkload(kIterations / 10);
 
-  // Interleave would be ideal, but best-of-7 per twin is stable enough and
-  // keeps the reporting simple.
-  const double off_s = BestSeconds(freshsel::bench::obs_off::RunWorkload,
-                                   &sink);
-  const double on_s = BestSeconds(freshsel::bench::obs_on::RunWorkload,
-                                  &sink);
-  const double overhead = (on_s - off_s) / off_s;
+  const freshsel::bench::TwinTiming timing = freshsel::bench::CompareTwins(
+      freshsel::bench::obs_off::RunWorkload,
+      freshsel::bench::obs_on::RunWorkload, kIterations, kPairs, &sink);
+  const double off_s = timing.off_seconds;
+  const double on_s = timing.on_seconds;
+  const double overhead = timing.overhead;
 
-  std::printf("obs overhead micro-bench (%zu iterations, best of %d)\n",
-              kIterations, kReps);
+  std::printf(
+      "obs overhead micro-bench (%zu iterations, median of %d "
+      "interleaved pairs)\n",
+      kIterations, kPairs);
   std::printf("  plain        : %8.2f ns/iter\n",
               off_s * 1e9 / static_cast<double>(kIterations));
   std::printf("  instrumented : %8.2f ns/iter\n",

@@ -1,10 +1,13 @@
 #ifndef FRESHSEL_BENCH_BENCH_UTIL_H_
 #define FRESHSEL_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.h"
 #include "workloads/bl_generator.h"
@@ -110,6 +113,59 @@ inline workloads::GdeltConfig DefaultGdelt() {
   config.n_large = 8;
   config.n_small = FullMode() ? 992 : 192;
   return config;
+}
+
+/// Timings of an overhead gate's two builds of one workload: the "on" twin
+/// carries the macros under test, the "off" twin is the same code without
+/// them.
+struct TwinTiming {
+  double overhead = 0.0;     ///< Median over pairs of on/off, minus 1.
+  double off_seconds = 0.0;  ///< Median off-twin time per run.
+  double on_seconds = 0.0;   ///< Median on-twin time per run.
+};
+
+/// Runs `pairs` interleaved A/B pairs, each timing both twins back to back
+/// over `iterations`, and alternates which twin runs first. A slow stretch
+/// of the host then slows both halves of a pair, and the order effect
+/// cancels; the gate reads the median of the per-pair ratios, which a few
+/// disturbed pairs cannot move. `pairs` should be odd.
+inline TwinTiming CompareTwins(double (*off)(std::size_t),
+                               double (*on)(std::size_t),
+                               std::size_t iterations, int pairs,
+                               double* sink) {
+  auto time_once = [&](double (*workload)(std::size_t)) {
+    obs::WallTimer timer;
+    *sink += workload(iterations);
+    return timer.ElapsedSeconds();
+  };
+  std::vector<double> ratios;
+  std::vector<double> off_times;
+  std::vector<double> on_times;
+  for (int pair = 0; pair < pairs; ++pair) {
+    double off_s = 0.0;
+    double on_s = 0.0;
+    if (pair % 2 == 0) {
+      off_s = time_once(off);
+      on_s = time_once(on);
+    } else {
+      on_s = time_once(on);
+      off_s = time_once(off);
+    }
+    ratios.push_back(on_s / off_s);
+    off_times.push_back(off_s);
+    on_times.push_back(on_s);
+  }
+  auto median = [](std::vector<double>& values) {
+    const auto mid = values.begin() + static_cast<std::ptrdiff_t>(
+                                          values.size() / 2);
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
+  };
+  TwinTiming timing;
+  timing.overhead = median(ratios) - 1.0;
+  timing.off_seconds = median(off_times);
+  timing.on_seconds = median(on_times);
+  return timing;
 }
 
 inline void PrintHeader(const char* bench_name, const char* what) {

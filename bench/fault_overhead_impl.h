@@ -29,8 +29,9 @@ namespace {
 /// The row-parse stand-in. Never inlined: in the real loaders the parsing
 /// sits behind out-of-line calls, so the failpoint macros in the driver
 /// loop must not perturb the kernel's codegen — only their own cost may
-/// differ between the twins.
-[[gnu::noinline]] double ParseRow(const std::string& row) {
+/// differ between the twins. Cache-line aligned so both twins' copies sit
+/// at the same offset within a line (see obs_overhead_impl.h).
+[[gnu::noinline, gnu::aligned(64)]] double ParseRow(const std::string& row) {
   double checksum = 0.0;
   std::size_t begin = 0;
   while (begin < row.size()) {

@@ -25,8 +25,11 @@ namespace {
 /// The oracle-call stand-in. Never inlined: in the real hot paths the
 /// profit evaluation sits behind a virtual ProfitFunction call, so the
 /// instrumentation macros in the driver loop must not perturb the kernel's
-/// codegen - only their own cost may differ between the twins.
-[[gnu::noinline]] double EvaluateProfit(
+/// codegen - only their own cost may differ between the twins. Aligned to
+/// a cache line so both twins' copies sit at the same offset within one:
+/// unaligned, where the linker happened to put each copy moved the measured
+/// on/off gap between about -12% and +19% with no source change.
+[[gnu::noinline, gnu::aligned(64)]] double EvaluateProfit(
     const std::vector<std::vector<std::uint32_t>>& covers,
     const std::vector<double>& weights, std::vector<bool>& covered) {
   covered.assign(covered.size(), false);

@@ -66,15 +66,13 @@ Result<QualityEstimator> QualityEstimator::Create(
   est.aggregate_ = model.Aggregate(est.domain_);
   est.count_t0_ = world.CountAtIn(est.domain_, est.t0_);
 
-  // Compact index: entities of the restricted domain get dense bit slots.
-  // The reverse list lets AddSource touch only the domain's entities,
-  // keeping registration cost independent of the full world size.
+  // Compact index: entities of the restricted domain get dense bit slots
+  // (-1 outside it), so evaluations never touch the rest of the world.
   est.entity_to_compact_.assign(world.entity_count(), -1);
   std::size_t next = 0;
   for (world::SubdomainId sub : est.domain_) {
     for (world::EntityId id : world.EntitiesInSubdomain(sub)) {
       est.entity_to_compact_[id] = static_cast<std::int32_t>(next++);
-      est.compact_to_entity_.push_back(id);
     }
   }
   est.compact_size_ = next;
@@ -102,19 +100,28 @@ Result<QualityEstimator::SourceHandle> QualityEstimator::AddSource(
   if (divisor < 1) {
     return Status::InvalidArgument("divisor must be >= 1");
   }
+  const integration::SourceSignatures& sig = profile->sig_t0;
+  for (const BitVector* full : {&sig.up, &sig.cov, &sig.all}) {
+    if (full->size() != entity_to_compact_.size()) {
+      return Status::InvalidArgument(
+          "profile signatures must have one bit per world entity");
+    }
+  }
   RegisteredSource src;
   src.profile = profile;
   src.divisor = divisor;
-  src.up = BitVector(compact_size_);
-  src.cov = BitVector(compact_size_);
-  src.all = BitVector(compact_size_);
-  // Compact the full-width signatures to the restricted domain.
-  for (std::size_t slot = 0; slot < compact_to_entity_.size(); ++slot) {
-    const world::EntityId id = compact_to_entity_[slot];
-    if (profile->sig_t0.up.Test(id)) src.up.Set(slot);
-    if (profile->sig_t0.cov.Test(id)) src.cov.Set(slot);
-    if (profile->sig_t0.all.Test(id)) src.all.Set(slot);
-  }
+  // Compact the full-width signatures to the restricted domain, visiting
+  // only their set bits: O(words + set bits), not O(domain entities).
+  auto compact = [&](const BitVector& full, BitVector& out) {
+    out = BitVector(compact_size_);
+    full.VisitSetBits([&](std::size_t id) {
+      const std::int32_t slot = entity_to_compact_[id];
+      if (slot >= 0) out.Set(static_cast<std::size_t>(slot));
+    });
+  };
+  compact(sig.up, src.up);
+  compact(sig.cov, src.cov);
+  compact(sig.all, src.all);
   src.coverage_t0 =
       count_t0_ > 0 ? static_cast<double>(src.cov.Count()) /
                           static_cast<double>(count_t0_)
@@ -268,16 +275,13 @@ QualityEstimator::Scratch QualityEstimator::AcquireScratch() const {
     if (!sync_->scratch_pool.empty()) {
       Scratch scratch = std::move(sync_->scratch_pool.back());
       sync_->scratch_pool.pop_back();
-      scratch.up.Clear();
-      scratch.cov.Clear();
-      scratch.all.Clear();
       return scratch;
     }
   }
   Scratch scratch;
-  scratch.up = BitVector(compact_size_);
-  scratch.cov = BitVector(compact_size_);
-  scratch.all = BitVector(compact_size_);
+  scratch.unions.up = BitVector(compact_size_);
+  scratch.unions.cov = BitVector(compact_size_);
+  scratch.unions.all = BitVector(compact_size_);
   return scratch;
 }
 
@@ -286,16 +290,58 @@ void QualityEstimator::ReleaseScratch(Scratch&& scratch) const {
   sync_->scratch_pool.push_back(std::move(scratch));
 }
 
+void QualityEstimator::ComputeUnions(const std::vector<SourceHandle>& set,
+                                     Unions& out) const {
+  out.up.Clear();
+  out.cov.Clear();
+  out.all.Clear();
+  for (SourceHandle handle : set) {
+    const RegisteredSource& src = sources_[handle];
+    out.up.OrWith(src.up);
+    out.cov.OrWith(src.cov);
+    out.all.OrWith(src.all);
+  }
+  out.up0 = static_cast<double>(out.up.Count());
+  out.cov0 = static_cast<double>(out.cov.Count());
+  out.all0 = static_cast<double>(out.all.Count());
+}
+
+void QualityEstimator::ComputeMissProducts(
+    const std::vector<SourceHandle>& set, std::size_t t_index,
+    const TimeTable& table, MissProducts& out) const {
+  // assign() keeps each vector's capacity, so reused scratch and contexts
+  // allocate nothing in the steady state.
+  out.ins.assign(table.steps, 1.0);
+  out.del.assign(table.steps, 1.0);
+  out.upd.assign(table.steps, 1.0);
+  if (options_.model_capture_backlog && table.t > t0_ && t0_ > 0) {
+    out.back_t0.assign(static_cast<std::size_t>(t0_), 1.0);
+    out.back_t.assign(static_cast<std::size_t>(t0_), 1.0);
+  } else {
+    out.back_t0.clear();
+    out.back_t.clear();
+  }
+  for (SourceHandle handle : set) {
+    MultiplyMissFactors(sources_[handle], handle, t_index, table, out);
+  }
+}
+
 void QualityEstimator::MultiplyMissFactors(const RegisteredSource& src,
                                            SourceHandle handle,
                                            std::size_t t_index,
                                            const TimeTable& table,
-                                           Scratch& scratch) const {
+                                           MissProducts& out) const {
   const std::size_t steps = table.steps;
-  const bool backlog = !scratch.back_t0.empty();
-  double* mi = scratch.miss_ins.data();
-  double* md = scratch.miss_del.data();
-  double* mu = scratch.miss_upd.data();
+  const std::size_t t0_steps = out.back_t0.size();
+  double* mi = out.ins.data();
+  double* md = out.del.data();
+  double* mu = out.upd.data();
+  // The miss-by-t0 factors depend on the source only, so both paths take
+  // them from the registered source.
+  if (t0_steps > 0) {
+    simd::MulInPlaceFloored(out.back_t0.data(), src.backlog_fac_t0.data(),
+                            t0_steps, kMissProductFloor);
+  }
   if (options_.cache_effectiveness && t_index != kNoTimeIndex) {
     // Elementwise kernels: lane-independent IEEE ops, so every backend is
     // bit-identical to the scalar loop they replace (see common/simd.h).
@@ -304,12 +350,8 @@ void QualityEstimator::MultiplyMissFactors(const RegisteredSource& src,
     simd::MulInPlaceFloored(mi, st.fac_ins.data(), steps, kMissProductFloor);
     simd::MulInPlaceFloored(md, st.fac_del.data(), steps, kMissProductFloor);
     simd::MulInPlaceFloored(mu, st.fac_upd.data(), steps, kMissProductFloor);
-    if (backlog) {
-      const std::size_t t0_steps = scratch.back_t0.size();
-      simd::MulInPlaceFloored(scratch.back_t0.data(),
-                              src.backlog_fac_t0.data(), t0_steps,
-                              kMissProductFloor);
-      simd::MulInPlaceFloored(scratch.back_t.data(), st.backlog_fac_t.data(),
+    if (t0_steps > 0) {
+      simd::MulInPlaceFloored(out.back_t.data(), st.backlog_fac_t.data(),
                               t0_steps, kMissProductFloor);
     }
     return;
@@ -334,32 +376,26 @@ void QualityEstimator::MultiplyMissFactors(const RegisteredSource& src,
                            p.Effectiveness(p.g_update, td, tau, src.divisor)),
         kMissProductFloor);
   }
-  if (backlog) {
-    double* s0 = scratch.back_t0.data();
-    double* st_out = scratch.back_t.data();
-    const double* b0 = src.backlog_fac_t0.data();
-    const std::size_t t0_steps = scratch.back_t0.size();
-    for (std::size_t j = 0; j < t0_steps; ++j) {
-      const double tau = static_cast<double>(j + 1);
-      s0[j] = std::max(s0[j] * b0[j], kMissProductFloor);
-      st_out[j] = std::max(
-          st_out[j] *
-              (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
-          kMissProductFloor);
-    }
+  double* back_t = out.back_t.data();
+  for (std::size_t j = 0; j < t0_steps; ++j) {
+    const double tau = static_cast<double>(j + 1);
+    back_t[j] = std::max(
+        back_t[j] * (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
+        kMissProductFloor);
   }
 }
 
 template <bool kWithCandidate>
 EstimatedQuality QualityEstimator::EvaluateFromProducts(
     const TimeTable& table, double up0, double cov0, double all0,
-    bool set_empty, const double* miss_ins, const double* miss_del,
-    const double* miss_upd, const double* back_t0, const double* back_t,
-    const SourceTimeTable* cand, const RegisteredSource* cand_src) const {
-  static_cast<void>(set_empty);
+    const MissProducts& products, const SourceTimeTable* cand,
+    const RegisteredSource* cand_src) const {
   EstimatedQuality q;
   const SubdomainChangeModel& agg = aggregate_;
   const std::size_t steps = table.steps;
+  const double* miss_ins = products.ins.data();
+  const double* miss_del = products.del.data();
+  const double* miss_upd = products.upd.data();
 
   // Expectation sums over tau = t0+1 .. t (Eqs. 9-11, 15, 19 and the Up
   // components). Pure array arithmetic: per-tau miss products (times the
@@ -403,7 +439,7 @@ EstimatedQuality QualityEstimator::EvaluateFromProducts(
     // Exact path: single fused loop in scalar order. Kept verbatim so the
     // reduction association (and therefore every published bit) matches
     // the pre-kernel implementation. The candidate multiply applies the
-    // same floor as MultiplyMissFactors/Push, so the delta path computes
+    // same floor as MultiplyMissFactors, so the delta path computes
     // literally the same op sequence as a full recompute over set+cand.
     for (std::size_t i = 0; i < steps; ++i) {
       double mi = miss_ins[i];
@@ -426,11 +462,13 @@ EstimatedQuality QualityEstimator::EvaluateFromProducts(
   }
 
   // Capture backlog (extension, see Options::model_capture_backlog):
-  // appearances at tau <= t0 captured only after t0. The caller passes
-  // null product arrays when the extension is off (or t <= t0).
+  // appearances at tau <= t0 captured only after t0. The backlog products
+  // are empty when the extension is off (or t <= t0).
   double e_backlog = 0.0;
   double e_backlog_up = 0.0;
-  if (back_t0 != nullptr) {
+  if (!products.back_t0.empty()) {
+    const double* back_t0 = products.back_t0.data();
+    const double* back_t = products.back_t.data();
     const double* w_back = table.w_back.data();
     const double* w_back_up = table.w_back_up.data();
     const std::size_t t0_steps = table.w_back.size();
@@ -491,12 +529,10 @@ EstimatedQuality QualityEstimator::EvaluateFromProducts(
 }
 
 template EstimatedQuality QualityEstimator::EvaluateFromProducts<false>(
-    const TimeTable&, double, double, double, bool, const double*,
-    const double*, const double*, const double*, const double*,
+    const TimeTable&, double, double, double, const MissProducts&,
     const SourceTimeTable*, const RegisteredSource*) const;
 template EstimatedQuality QualityEstimator::EvaluateFromProducts<true>(
-    const TimeTable&, double, double, double, bool, const double*,
-    const double*, const double*, const double*, const double*,
+    const TimeTable&, double, double, double, const MissProducts&,
     const SourceTimeTable*, const RegisteredSource*) const;
 
 EstimatedQuality QualityEstimator::Estimate(
@@ -508,27 +544,7 @@ EstimatedQuality QualityEstimator::Estimate(
   FRESHSEL_CHECK(t - t0_ <= kMaxEvalHorizonSteps)
       << "Estimate at t=" << t << " beyond the supported horizon (t0=" << t0_
       << ", max steps=" << kMaxEvalHorizonSteps << ")";
-  EstimatedQuality q;
-  for (SourceHandle handle : set) {
-    FRESHSEL_CHECK(handle < sources_.size())
-        << "unknown source handle " << handle << " (registered: "
-        << sources_.size() << ")";
-  }
-
-  Scratch scratch = AcquireScratch();
-
-  // Union signature counts at t0, on bitvectors leased from the shared
-  // pool (each concurrent Estimate call gets its own set).
-  for (SourceHandle handle : set) {
-    const RegisteredSource& src = sources_[handle];
-    scratch.up.OrWith(src.up);
-    scratch.cov.OrWith(src.cov);
-    scratch.all.OrWith(src.all);
-  }
-  const double up0 = static_cast<double>(scratch.up.Count());
-  const double cov0 = static_cast<double>(scratch.cov.Count());
-  const double all0 = static_cast<double>(scratch.all.Count());
-
+  CheckHandles(set);
   const std::size_t t_index = TimeIndexOf(t);
   TimeTable local;
   const TimeTable* table;
@@ -539,31 +555,14 @@ EstimatedQuality QualityEstimator::Estimate(
     table = &local;
   }
 
-  // Per-tau miss products over the set, in handle order (scratch vectors
-  // keep their capacity across calls, so the steady state allocates
-  // nothing).
-  scratch.miss_ins.assign(table->steps, 1.0);
-  scratch.miss_del.assign(table->steps, 1.0);
-  scratch.miss_upd.assign(table->steps, 1.0);
-  const bool backlog =
-      options_.model_capture_backlog && t > t0_ && t0_ > 0 && !set.empty();
-  if (backlog) {
-    scratch.back_t0.assign(static_cast<std::size_t>(t0_), 1.0);
-    scratch.back_t.assign(static_cast<std::size_t>(t0_), 1.0);
-  } else {
-    scratch.back_t0.clear();
-    scratch.back_t.clear();
-  }
-  for (SourceHandle handle : set) {
-    MultiplyMissFactors(sources_[handle], handle, t_index, *table, scratch);
-  }
-
+  // Each concurrent Estimate call leases its own scratch from the pool.
+  Scratch scratch = AcquireScratch();
+  ComputeUnions(set, scratch.unions);
+  ComputeMissProducts(set, t_index, *table, scratch.miss);
   FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
-  q = EvaluateFromProducts<false>(
-      *table, up0, cov0, all0, set.empty(), scratch.miss_ins.data(),
-      scratch.miss_del.data(), scratch.miss_upd.data(),
-      backlog ? scratch.back_t0.data() : nullptr,
-      backlog ? scratch.back_t.data() : nullptr, nullptr, nullptr);
+  const Unions& u = scratch.unions;
+  const EstimatedQuality q = EvaluateFromProducts<false>(
+      *table, u.up0, u.cov0, u.all0, scratch.miss, nullptr, nullptr);
   ReleaseScratch(std::move(scratch));
   return q;
 }
@@ -573,49 +572,19 @@ void QualityEstimator::EstimateAllTimes(
     std::vector<EstimatedQuality>& out) const {
   out.resize(eval_times_.size());
   if (eval_times_.empty()) return;
-  for (SourceHandle handle : set) {
-    FRESHSEL_CHECK(handle < sources_.size())
-        << "unknown source handle " << handle << " (registered: "
-        << sources_.size() << ")";
-  }
+  CheckHandles(set);
 
   Scratch scratch = AcquireScratch();
   // The union counts are shared across every eval time - the whole point
   // of the batched entry point (EstimateAverage used to redo the unions
   // per time).
-  for (SourceHandle handle : set) {
-    const RegisteredSource& src = sources_[handle];
-    scratch.up.OrWith(src.up);
-    scratch.cov.OrWith(src.cov);
-    scratch.all.OrWith(src.all);
-  }
-  const double up0 = static_cast<double>(scratch.up.Count());
-  const double cov0 = static_cast<double>(scratch.cov.Count());
-  const double all0 = static_cast<double>(scratch.all.Count());
-
+  ComputeUnions(set, scratch.unions);
+  const Unions& u = scratch.unions;
   for (std::size_t ti = 0; ti < eval_times_.size(); ++ti) {
-    const TimeTable& table = tables_[ti];
-    scratch.miss_ins.assign(table.steps, 1.0);
-    scratch.miss_del.assign(table.steps, 1.0);
-    scratch.miss_upd.assign(table.steps, 1.0);
-    const bool backlog = options_.model_capture_backlog &&
-                         table.t > t0_ && t0_ > 0 && !set.empty();
-    if (backlog) {
-      scratch.back_t0.assign(static_cast<std::size_t>(t0_), 1.0);
-      scratch.back_t.assign(static_cast<std::size_t>(t0_), 1.0);
-    } else {
-      scratch.back_t0.clear();
-      scratch.back_t.clear();
-    }
-    for (SourceHandle handle : set) {
-      MultiplyMissFactors(sources_[handle], handle, ti, table, scratch);
-    }
+    ComputeMissProducts(set, ti, tables_[ti], scratch.miss);
     FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
-    out[ti] = EvaluateFromProducts<false>(
-        table, up0, cov0, all0, set.empty(), scratch.miss_ins.data(),
-        scratch.miss_del.data(), scratch.miss_upd.data(),
-        backlog ? scratch.back_t0.data() : nullptr,
-        backlog ? scratch.back_t.data() : nullptr, nullptr, nullptr);
+    out[ti] = EvaluateFromProducts<false>(tables_[ti], u.up0, u.cov0, u.all0,
+                                          scratch.miss, nullptr, nullptr);
   }
   ReleaseScratch(std::move(scratch));
 }
@@ -646,6 +615,15 @@ EstimatedQuality QualityEstimator::EstimateAverage(
   return avg;
 }
 
+void QualityEstimator::CheckHandles(
+    const std::vector<SourceHandle>& set) const {
+  for (SourceHandle handle : set) {
+    FRESHSEL_CHECK(handle < sources_.size())
+        << "unknown source handle " << handle << " (registered: "
+        << sources_.size() << ")";
+  }
+}
+
 QualityEstimator::EvalContext QualityEstimator::MakeEvalContext() const {
   FRESHSEL_CHECK(SupportsIncremental())
       << "MakeEvalContext requires cache_effectiveness and at least one "
@@ -657,134 +635,39 @@ QualityEstimator::EvalContext QualityEstimator::MakeEvalContext() const {
 // EvalContext
 
 QualityEstimator::EvalContext::EvalContext(const QualityEstimator* est)
-    : est_(est),
-      up_(est->compact_size_),
-      cov_(est->compact_size_),
-      all_(est->compact_size_) {
-  times_.resize(est->eval_times_.size());
-  const bool backlog_enabled =
-      est->options_.model_capture_backlog && est->t0_ > 0;
-  for (std::size_t ti = 0; ti < times_.size(); ++ti) {
-    const std::size_t steps = est->tables_[ti].steps;
-    times_[ti].miss_ins.assign(steps, 1.0);
-    times_[ti].miss_del.assign(steps, 1.0);
-    times_[ti].miss_upd.assign(steps, 1.0);
-    if (backlog_enabled && steps > 0) {
-      times_[ti].back_t.assign(static_cast<std::size_t>(est->t0_), 1.0);
-    }
-  }
-  if (backlog_enabled) {
-    back_t0_.assign(static_cast<std::size_t>(est->t0_), 1.0);
-  }
+    : est_(est), times_(est->eval_times_.size()) {
+  unions_.up = BitVector(est->compact_size_);
+  unions_.cov = BitVector(est->compact_size_);
+  unions_.all = BitVector(est->compact_size_);
+  Reset({});
 }
 
-void QualityEstimator::EvalContext::Clear() {
-  pushed_.clear();
-  checkpoints_.clear();
-  up_.Clear();
-  cov_.Clear();
-  all_.Clear();
-  up0_ = 0.0;
-  cov0_ = 0.0;
-  all0_ = 0.0;
-  for (TimeState& ts : times_) {
-    std::fill(ts.miss_ins.begin(), ts.miss_ins.end(), 1.0);
-    std::fill(ts.miss_del.begin(), ts.miss_del.end(), 1.0);
-    std::fill(ts.miss_upd.begin(), ts.miss_upd.end(), 1.0);
-    std::fill(ts.back_t.begin(), ts.back_t.end(), 1.0);
-  }
-  std::fill(back_t0_.begin(), back_t0_.end(), 1.0);
-}
-
-void QualityEstimator::EvalContext::Push(SourceHandle handle) {
+void QualityEstimator::EvalContext::Reset(
+    const std::vector<SourceHandle>& set) {
   FRESHSEL_CHECK(est_ != nullptr) << "EvalContext used before MakeEvalContext";
-  FRESHSEL_CHECK(handle < est_->sources_.size())
-      << "unknown source handle " << handle << " (registered: "
-      << est_->sources_.size() << ")";
-
-  // Snapshot first: Pop restores state bit-exactly from the checkpoint
-  // rather than dividing the candidate's factors back out (near-zero miss
-  // products would amplify the rounding error of a divide).
-  Checkpoint cp;
-  cp.up = up_;
-  cp.cov = cov_;
-  cp.all = all_;
-  cp.up0 = up0_;
-  cp.cov0 = cov0_;
-  cp.all0 = all0_;
-  cp.times = times_;
-  cp.back_t0 = back_t0_;
-  checkpoints_.push_back(std::move(cp));
-
-  const RegisteredSource& src = est_->sources_[handle];
-  up_.OrWith(src.up);
-  cov_.OrWith(src.cov);
-  all_.OrWith(src.all);
-  up0_ = static_cast<double>(up_.Count());
-  cov0_ = static_cast<double>(cov_.Count());
-  all0_ = static_cast<double>(all_.Count());
-
+  est_->CheckHandles(set);
+  est_->ComputeUnions(set, unions_);
   for (std::size_t ti = 0; ti < times_.size(); ++ti) {
-    TimeState& ts = times_[ti];
-    const std::size_t steps = ts.miss_ins.size();
-    if (steps == 0 && ts.back_t.empty()) continue;
-    const SourceTimeTable& st = est_->SourceTableFor(handle, ti);
-    // Same floored elementwise kernels as MultiplyMissFactors, so the
-    // incremental running products are bit-identical to a full recompute.
-    simd::MulInPlaceFloored(ts.miss_ins.data(), st.fac_ins.data(), steps,
-                            kMissProductFloor);
-    simd::MulInPlaceFloored(ts.miss_del.data(), st.fac_del.data(), steps,
-                            kMissProductFloor);
-    simd::MulInPlaceFloored(ts.miss_upd.data(), st.fac_upd.data(), steps,
-                            kMissProductFloor);
-    if (!ts.back_t.empty()) {
-      simd::MulInPlaceFloored(ts.back_t.data(), st.backlog_fac_t.data(),
-                              ts.back_t.size(), kMissProductFloor);
-    }
+    // An eval time at t0 has no per-tau products; skipping it keeps the
+    // memo lookups to the times that have factors.
+    if (est_->tables_[ti].steps == 0) continue;
+    est_->ComputeMissProducts(set, ti, est_->tables_[ti], times_[ti]);
   }
-  if (!back_t0_.empty()) {
-    simd::MulInPlaceFloored(back_t0_.data(), src.backlog_fac_t0.data(),
-                            back_t0_.size(), kMissProductFloor);
-  }
-  pushed_.push_back(handle);
-}
-
-void QualityEstimator::EvalContext::Pop() {
-  FRESHSEL_CHECK(!pushed_.empty()) << "Pop on an empty EvalContext";
-  Checkpoint& cp = checkpoints_.back();
-  up_ = std::move(cp.up);
-  cov_ = std::move(cp.cov);
-  all_ = std::move(cp.all);
-  up0_ = cp.up0;
-  cov0_ = cp.cov0;
-  all0_ = cp.all0;
-  times_ = std::move(cp.times);
-  back_t0_ = std::move(cp.back_t0);
-  checkpoints_.pop_back();
-  pushed_.pop_back();
 }
 
 EstimatedQuality QualityEstimator::EvalContext::EstimateAtIndex(
     std::size_t t_index, const SourceHandle* candidate, double up0,
     double cov0, double all0) const {
   const TimeTable& table = est_->tables_[t_index];
-  const TimeState& ts = times_[t_index];
-  const bool backlog = !back_t0_.empty() && !ts.back_t.empty();
   FRESHSEL_OBS_COUNT("estimation.delta.evals", 1);
   if (candidate != nullptr) {
     const SourceTimeTable& st = est_->SourceTableFor(*candidate, t_index);
-    return est_->EvaluateFromProducts<true>(
-        table, up0, cov0, all0, false, ts.miss_ins.data(),
-        ts.miss_del.data(), ts.miss_upd.data(),
-        backlog ? back_t0_.data() : nullptr,
-        backlog ? ts.back_t.data() : nullptr, &st,
-        &est_->sources_[*candidate]);
+    return est_->EvaluateFromProducts<true>(table, up0, cov0, all0,
+                                            times_[t_index], &st,
+                                            &est_->sources_[*candidate]);
   }
-  return est_->EvaluateFromProducts<false>(
-      table, up0, cov0, all0, pushed_.empty(), ts.miss_ins.data(),
-      ts.miss_del.data(), ts.miss_upd.data(),
-      backlog ? back_t0_.data() : nullptr,
-      backlog ? ts.back_t.data() : nullptr, nullptr, nullptr);
+  return est_->EvaluateFromProducts<false>(table, up0, cov0, all0,
+                                           times_[t_index], nullptr, nullptr);
 }
 
 EstimatedQuality QualityEstimator::EvalContext::EstimateCurrent(
@@ -794,7 +677,8 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateCurrent(
   FRESHSEL_CHECK(t_index != kNoTimeIndex)
       << "EvalContext only evaluates at registered eval times (got " << t
       << ")";
-  return EstimateAtIndex(t_index, nullptr, up0_, cov0_, all0_);
+  return EstimateAtIndex(t_index, nullptr, unions_.up0, unions_.cov0,
+                         unions_.all0);
 }
 
 EstimatedQuality QualityEstimator::EvalContext::EstimateWith(
@@ -808,9 +692,9 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateWith(
       << "EvalContext only evaluates at registered eval times (got " << t
       << ")";
   const RegisteredSource& src = est_->sources_[handle];
-  const double up0 = static_cast<double>(up_.UnionCount(src.up));
-  const double cov0 = static_cast<double>(cov_.UnionCount(src.cov));
-  const double all0 = static_cast<double>(all_.UnionCount(src.all));
+  const double up0 = static_cast<double>(unions_.up.UnionCount(src.up));
+  const double cov0 = static_cast<double>(unions_.cov.UnionCount(src.cov));
+  const double all0 = static_cast<double>(unions_.all.UnionCount(src.all));
   return EstimateAtIndex(t_index, &handle, up0, cov0, all0);
 }
 
@@ -819,7 +703,8 @@ void QualityEstimator::EvalContext::EstimateAllTimes(
   FRESHSEL_CHECK(est_ != nullptr) << "EvalContext used before MakeEvalContext";
   out.resize(est_->eval_times_.size());
   for (std::size_t ti = 0; ti < out.size(); ++ti) {
-    out[ti] = EstimateAtIndex(ti, nullptr, up0_, cov0_, all0_);
+    out[ti] = EstimateAtIndex(ti, nullptr, unions_.up0, unions_.cov0,
+                              unions_.all0);
   }
 }
 
@@ -830,9 +715,9 @@ void QualityEstimator::EvalContext::EstimateAllTimesWith(
       << "unknown source handle " << handle << " (registered: "
       << est_->sources_.size() << ")";
   const RegisteredSource& src = est_->sources_[handle];
-  const double up0 = static_cast<double>(up_.UnionCount(src.up));
-  const double cov0 = static_cast<double>(cov_.UnionCount(src.cov));
-  const double all0 = static_cast<double>(all_.UnionCount(src.all));
+  const double up0 = static_cast<double>(unions_.up.UnionCount(src.up));
+  const double cov0 = static_cast<double>(unions_.cov.UnionCount(src.cov));
+  const double all0 = static_cast<double>(unions_.all.UnionCount(src.all));
   out.resize(est_->eval_times_.size());
   for (std::size_t ti = 0; ti < out.size(); ++ti) {
     out[ti] = EstimateAtIndex(ti, &handle, up0, cov0, all0);

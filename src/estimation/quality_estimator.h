@@ -131,14 +131,40 @@ class QualityEstimator {
     bool fast_math_kernels = false;
   };
 
+ private:
+  // Set-dependent evaluation state, shared by the plain path's scratch and
+  // EvalContext (declared first because EvalContext holds it by value).
+
+  /// The union up/cov/all signatures of a set at t0 over the compact
+  /// domain, and their counts.
+  struct Unions {
+    BitVector up;
+    BitVector cov;
+    BitVector all;
+    double up0 = 0.0;
+    double cov0 = 0.0;
+    double all0 = 0.0;
+  };
+
+  /// A set's per-tau miss products at one eval time: `ins`/`del`/`upd`
+  /// over tau = t0 + 1 .. t (index i is tau = t0 + 1 + i), and the
+  /// capture-backlog miss-by-t0 / miss-by-t products over tau = 1 .. t0,
+  /// which are empty unless Options::model_capture_backlog and t > t0.
+  struct MissProducts {
+    std::vector<double> ins;
+    std::vector<double> del;
+    std::vector<double> upd;
+    std::vector<double> back_t0;
+    std::vector<double> back_t;
+  };
+
+ public:
   /// Incremental delta-evaluation state over a *current* set S: the union
-  /// up/cov/all signatures and, per eval time, the running per-tau
-  /// miss-product arrays (products over the pushed sources of their miss
-  /// factors). `Push` grows S by one source in O(steps) per eval time;
-  /// `Pop` restores the previous state exactly from a checkpoint stack
-  /// (never by dividing factors back out - near-zero miss products would
-  /// amplify rounding error, while checkpoint restore is bit-exact).
-  /// `EstimateWith(x, t)` scores S + {x} in O(t - t0), independent of |S|.
+  /// up/cov/all signatures and, per eval time, the per-tau miss-product
+  /// arrays (products over S of its members' miss factors). `Reset(S)`
+  /// rebuilds both from scratch with the arithmetic of the plain path, so
+  /// the state is a pure function of S; `EstimateWith(x, t)` then scores
+  /// S + {x} in O(t - t0), independent of |S|.
   ///
   /// Evaluations are only supported at the estimator's registered eval
   /// times (the cacheable points the selection oracles use). The owning
@@ -154,17 +180,12 @@ class QualityEstimator {
 
     /// True once bound to an estimator via `MakeEvalContext`.
     bool valid() const { return est_ != nullptr; }
-    /// The sources pushed so far, in push order (not necessarily sorted).
-    const std::vector<SourceHandle>& pushed() const { return pushed_; }
-    std::size_t size() const { return pushed_.size(); }
 
-    /// Drops every pushed source and checkpoint: back to the empty set.
-    void Clear();
-    /// Extends the current set by `handle`, saving a checkpoint first.
-    void Push(SourceHandle handle);
-    /// Restores the state from before the most recent `Push`, bit-exactly.
-    /// Pre: size() > 0.
-    void Pop();
+    /// Makes `set` the current set. Its members' factors are multiplied
+    /// in set order, exactly as `Estimate(set, t)` multiplies them, so
+    /// `EstimateCurrent(t)` is bit-identical to `Estimate(set, t)` and
+    /// `EstimateWith(x, t)` to `Estimate(set + [x], t)` with x appended.
+    void Reset(const std::vector<SourceHandle>& set);
 
     /// Quality of the current set S at eval time `t`. O(t - t0).
     EstimatedQuality EstimateCurrent(TimePoint t) const;
@@ -182,27 +203,6 @@ class QualityEstimator {
    private:
     friend class QualityEstimator;
 
-    /// Running per-eval-time miss products (index i is tau = t0 + 1 + i).
-    struct TimeState {
-      std::vector<double> miss_ins;
-      std::vector<double> miss_del;
-      std::vector<double> miss_upd;
-      /// Per-tau capture-backlog miss-by-t products (tau = 1 .. t0); empty
-      /// unless Options::model_capture_backlog.
-      std::vector<double> back_t;
-    };
-    /// Snapshot of the full mutable state, taken by Push for Pop.
-    struct Checkpoint {
-      BitVector up;
-      BitVector cov;
-      BitVector all;
-      double up0 = 0.0;
-      double cov0 = 0.0;
-      double all0 = 0.0;
-      std::vector<TimeState> times;
-      std::vector<double> back_t0;
-    };
-
     explicit EvalContext(const QualityEstimator* est);
 
     EstimatedQuality EstimateAtIndex(std::size_t t_index,
@@ -211,18 +211,8 @@ class QualityEstimator {
                                      double all0) const;
 
     const QualityEstimator* est_ = nullptr;
-    std::vector<SourceHandle> pushed_;
-    BitVector up_;
-    BitVector cov_;
-    BitVector all_;
-    double up0_ = 0.0;
-    double cov0_ = 0.0;
-    double all0_ = 0.0;
-    std::vector<TimeState> times_;
-    /// Per-tau capture-backlog miss-by-t0 products (shared by all eval
-    /// times); empty unless Options::model_capture_backlog.
-    std::vector<double> back_t0_;
-    std::vector<Checkpoint> checkpoints_;
+    Unions unions_;
+    std::vector<MissProducts> times_;  ///< One per eval time.
   };
 
   /// `domain` restricts all metrics to those subdomains (empty => whole
@@ -367,18 +357,11 @@ class QualityEstimator {
     ~MemoSlot() { delete table.load(std::memory_order_relaxed); }
   };
 
-  /// One Estimate call's worth of evaluation scratch: the union-signature
-  /// bitvectors plus the reusable miss-product arrays, leased from a pool
+  /// One Estimate call's worth of evaluation scratch, leased from a pool
   /// so repeated calls make no heap allocations.
   struct Scratch {
-    BitVector up;
-    BitVector cov;
-    BitVector all;
-    std::vector<double> miss_ins;
-    std::vector<double> miss_del;
-    std::vector<double> miss_upd;
-    std::vector<double> back_t0;
-    std::vector<double> back_t;
+    Unions unions;
+    MissProducts miss;
   };
 
   /// Mutable evaluation state shared by concurrent Estimate calls. Held
@@ -403,6 +386,9 @@ class QualityEstimator {
   /// lookup table built at Create (no linear scan per call).
   std::size_t TimeIndexOf(TimePoint t) const;
 
+  /// CHECK-fails on a handle that was never registered.
+  void CheckHandles(const std::vector<SourceHandle>& set) const;
+
   TimeTable MakeTimeTable(TimePoint t) const;
   SourceTimeTable BuildSourceTable(const RegisteredSource& src,
                                    const TimeTable& table) const;
@@ -410,23 +396,33 @@ class QualityEstimator {
   const SourceTimeTable& SourceTableFor(SourceHandle handle,
                                         std::size_t t_index) const;
 
-  /// Multiplies `src`'s miss factors at `table` into the scratch product
-  /// arrays, from the memo when `t_index` is valid and caching is on,
-  /// recomputed ad hoc otherwise.
+  /// Forms `out` over `set`: ORs the members' signatures, then counts
+  /// once. `out`'s bit vectors must span the compact domain.
+  void ComputeUnions(const std::vector<SourceHandle>& set, Unions& out) const;
+
+  /// Forms `out` over `set` at `table`: starts from the empty set's
+  /// all-ones products and multiplies in each member's miss factors, in
+  /// set order. The one place a set's products are built, for the plain
+  /// path and `EvalContext::Reset` alike.
+  void ComputeMissProducts(const std::vector<SourceHandle>& set,
+                           std::size_t t_index, const TimeTable& table,
+                           MissProducts& out) const;
+
+  /// Multiplies `src`'s miss factors at `table` into `out`, from the memo
+  /// when `t_index` is valid and caching is on, recomputed ad hoc
+  /// otherwise.
   void MultiplyMissFactors(const RegisteredSource& src, SourceHandle handle,
                            std::size_t t_index, const TimeTable& table,
-                           Scratch& scratch) const;
+                           MissProducts& out) const;
 
   /// The shared tail of every evaluation path: folds per-tau miss products
   /// (optionally times one candidate source's factors) into the
-  /// expectation sums and the published quality ratios. `back_t0`/`back_t`
-  /// may be null when the capture backlog is disabled or the set is empty.
+  /// expectation sums and the published quality ratios.
   template <bool kWithCandidate>
   EstimatedQuality EvaluateFromProducts(
       const TimeTable& table, double up0, double cov0, double all0,
-      bool set_empty, const double* miss_ins, const double* miss_del,
-      const double* miss_upd, const double* back_t0, const double* back_t,
-      const SourceTimeTable* cand, const RegisteredSource* cand_src) const;
+      const MissProducts& products, const SourceTimeTable* cand,
+      const RegisteredSource* cand_src) const;
 
   TimePoint t0_ = 0;
   TimePoints eval_times_;
@@ -435,7 +431,6 @@ class QualityEstimator {
   SubdomainChangeModel aggregate_;
   std::int64_t count_t0_ = 0;
   std::vector<std::int32_t> entity_to_compact_;
-  std::vector<world::EntityId> compact_to_entity_;
   std::size_t compact_size_ = 0;
   std::vector<RegisteredSource> sources_;
   std::vector<TimeTable> tables_;  ///< One per eval time, built at Create.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "common/string_util.h"
 #include "obs/json.h"
@@ -34,6 +35,14 @@ void Histogram::Record(double value) {
   while (!sum_.compare_exchange_weak(sum, sum + value,
                                      std::memory_order_relaxed)) {
   }
+  double min = min_.load(std::memory_order_relaxed);
+  while (value < min && !min_.compare_exchange_weak(
+                            min, value, std::memory_order_relaxed)) {
+  }
+  double max = max_.load(std::memory_order_relaxed);
+  while (value > max && !max_.compare_exchange_weak(
+                            max, value, std::memory_order_relaxed)) {
+  }
 }
 
 std::vector<double> Histogram::DefaultLatencyBounds() {
@@ -50,6 +59,14 @@ std::vector<double> Histogram::DefaultLatencyBounds() {
 
 double Histogram::Snapshot::Percentile(double q) const {
   if (count == 0 || bounds.empty()) return 0.0;
+  const double estimate = BucketPercentile(q);
+  // A snapshot taken while the first value is recorded may see the count
+  // before the range.
+  if (min > max) return estimate;
+  return std::clamp(estimate, min, max);
+}
+
+double Histogram::Snapshot::BucketPercentile(double q) const {
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
   // Rank of the q-th record, 1-based; q=0 targets the first record.
@@ -80,6 +97,8 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   }
   snapshot.count = count_.load(std::memory_order_relaxed);
   snapshot.sum = sum_.load(std::memory_order_relaxed);
+  snapshot.min = min_.load(std::memory_order_relaxed);
+  snapshot.max = max_.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -89,6 +108,10 @@ void Histogram::Reset() {
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 void MetricsSnapshot::AppendJson(JsonWriter& writer) const {

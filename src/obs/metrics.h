@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -86,6 +87,10 @@ class Histogram {
     std::vector<std::uint64_t> counts;   ///< bounds.size() + 1 buckets.
     std::uint64_t count = 0;
     double sum = 0.0;
+    /// Smallest and largest recorded values. A snapshot built by hand (or
+    /// read back from JSON, which does not carry them) spans everything.
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
     double Mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
     }
@@ -95,8 +100,14 @@ class Histogram {
     /// edges by the rank's position within the bucket. The first bucket's
     /// lower edge is 0 (latency histograms never see negatives); records
     /// in the overflow bucket report the last finite edge (the estimate
-    /// is a floor, not an extrapolation). Empty histograms report 0.
+    /// is a floor, not an extrapolation). The estimate is clamped to
+    /// [min, max], so no percentile lies outside the recorded range.
+    /// Empty histograms report 0.
     double Percentile(double q) const;
+
+   private:
+    /// The interpolated bucket estimate, before the clamp.
+    double BucketPercentile(double q) const;
   };
   Snapshot TakeSnapshot() const;
 
@@ -109,6 +120,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots.
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Point-in-time copy of every registered metric, serializable as

@@ -93,7 +93,7 @@ double CachedProfitOracle::budget() const {
   return gain_cost_->budget();
 }
 
-/// Decorating incremental context: structural operations delegate to the
+/// Decorating incremental context: `Reset` and `set` delegate to the
 /// wrapped oracle's context; evaluations go through `Memoize` under the
 /// canonical sorted key of the evaluated set, so hits skip the wrapped
 /// context entirely (and, as everywhere in the decorator, only misses
@@ -107,8 +107,6 @@ class CachedProfitOracle::CachedContext final : public MarginalEvalContext {
   void Reset(const std::vector<SourceHandle>& set) override {
     base_->Reset(set);
   }
-  void Push(SourceHandle handle) override { base_->Push(handle); }
-  void Pop() override { base_->Pop(); }
   const std::vector<SourceHandle>& set() const override {
     return base_->set();
   }

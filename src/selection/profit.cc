@@ -117,24 +117,11 @@ class ProfitOracle::IncrementalContext final : public MarginalEvalContext {
   void Reset(const std::vector<SourceHandle>& set) override {
     FRESHSEL_DCHECK(std::is_sorted(set.begin(), set.end()))
         << "Reset expects a canonically sorted set";
-    ctx_.Clear();
-    for (SourceHandle h : set) ctx_.Push(h);
+    // The estimator state is a function of the set alone, so re-rooting
+    // on the current set has nothing to rebuild.
+    if (set == sorted_) return;
+    ctx_.Reset(set);
     sorted_ = set;
-  }
-
-  void Push(SourceHandle handle) override {
-    ctx_.Push(handle);
-    sorted_.insert(
-        std::upper_bound(sorted_.begin(), sorted_.end(), handle), handle);
-  }
-
-  void Pop() override {
-    FRESHSEL_CHECK(!ctx_.pushed().empty()) << "Pop on an empty context";
-    const SourceHandle handle = ctx_.pushed().back();
-    ctx_.Pop();
-    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), handle);
-    FRESHSEL_DCHECK(it != sorted_.end() && *it == handle);
-    sorted_.erase(it);
   }
 
   const std::vector<SourceHandle>& set() const override { return sorted_; }
@@ -206,21 +193,6 @@ void FullEvalContext::Reset(const std::vector<SourceHandle>& set) {
   FRESHSEL_DCHECK(std::is_sorted(set.begin(), set.end()))
       << "Reset expects a canonically sorted set";
   set_ = set;
-  pushed_ = set;
-}
-
-void FullEvalContext::Push(SourceHandle handle) {
-  pushed_.push_back(handle);
-  set_.insert(std::upper_bound(set_.begin(), set_.end(), handle), handle);
-}
-
-void FullEvalContext::Pop() {
-  FRESHSEL_CHECK(!pushed_.empty()) << "Pop on an empty context";
-  const SourceHandle handle = pushed_.back();
-  pushed_.pop_back();
-  const auto it = std::lower_bound(set_.begin(), set_.end(), handle);
-  FRESHSEL_DCHECK(it != set_.end() && *it == handle);
-  set_.erase(it);
 }
 
 double FullEvalContext::CurrentProfit() { return oracle_->Profit(set_); }

@@ -28,10 +28,12 @@ using SourceHandle = estimation::QualityEstimator::SourceHandle;
 /// return -infinity without counting, exactly like `Profit`), so call
 /// accounting is identical between an oracle's own context and the
 /// `FullEvalContext` adapter below.
-/// Evaluated values agree with the plain oracle to ulp precision - the
-/// factor products are associated in context order rather than set order -
-/// and are bit-identical whenever the context was `Reset` to the canonical
-/// sorted set and the candidate sorts last.
+/// A context's state is a function of the set it was last `Reset` to, and
+/// it multiplies that set's factors in set order, as the plain oracle
+/// does: `CurrentProfit` is bit-identical to `Profit(set())`, and
+/// `ProfitWith(x)` to `Profit(set() + {x})` whenever x sorts last (for an
+/// x at another position the products differ only in association, so the
+/// two agree to ulp precision).
 ///
 /// Contexts are single-threaded; parallel evaluation paths create one per
 /// worker chunk (`MakeContext` itself is safe to call concurrently on a
@@ -43,10 +45,6 @@ class MarginalEvalContext {
   /// Rebuilds the context over `set`, which must be canonically sorted
   /// (the representation the selection layer maintains, see set_util.h).
   virtual void Reset(const std::vector<SourceHandle>& set) = 0;
-  /// Extends the current set by `handle`.
-  virtual void Push(SourceHandle handle) = 0;
-  /// Undoes the most recent `Push` exactly. Pre: the set is non-empty.
-  virtual void Pop() = 0;
   /// The current set, canonically sorted.
   virtual const std::vector<SourceHandle>& set() const = 0;
 
@@ -134,16 +132,13 @@ class GainCostFunction : public ProfitFunction {
 /// every query with one full oracle evaluation - `ProfitWith(x)` is
 /// `oracle.Profit(S + {x})`, `CurrentGain()` is `oracle.Gain(S)` - so it
 /// makes exactly the calls, with exactly the arguments, that scoring
-/// without a context would. `Push`/`Pop` keep the same stack discipline as
-/// the estimator context. The gain queries need a `GainCostFunction`
+/// without a context would. The gain queries need a `GainCostFunction`
 /// oracle. The oracle is not owned and must outlive the context.
 class FullEvalContext final : public MarginalEvalContext {
  public:
   explicit FullEvalContext(const ProfitFunction& oracle);
 
   void Reset(const std::vector<SourceHandle>& set) override;
-  void Push(SourceHandle handle) override;
-  void Pop() override;
   const std::vector<SourceHandle>& set() const override { return set_; }
 
   double CurrentProfit() override;
@@ -159,7 +154,6 @@ class FullEvalContext final : public MarginalEvalContext {
   const ProfitFunction* oracle_;
   const GainCostFunction* gain_cost_;  // Null when the oracle is profit-only.
   std::vector<SourceHandle> set_;
-  std::vector<SourceHandle> pushed_;  // Push order, for Pop.
   std::vector<SourceHandle> with_;
 };
 

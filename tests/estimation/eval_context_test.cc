@@ -1,12 +1,14 @@
 // EvalContext equivalence suite: the incremental delta-evaluation path
-// (Push / Pop / EstimateWith / EstimateAllTimes) is a pure acceleration of
-// `Estimate` - the values it returns must agree with fresh full
-// evaluations to ulp precision, across every Options flag combination,
-// and Pop must restore the pre-Push state bit-exactly.
+// (Reset / EstimateWith / EstimateAllTimes) is a pure acceleration of
+// `Estimate`, across every Options flag combination. A context's state is
+// a function of the set it was last Reset to: whatever sets came before,
+// it evaluates that set bit for bit like `Estimate`, and like a context
+// Reset to it fresh.
 
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -27,9 +29,10 @@ namespace {
 using SourceHandle = QualityEstimator::SourceHandle;
 
 /// Incremental products append the candidate's factor at the end rather
-/// than at its sorted position, so delta evaluations are ulp-equivalent,
-/// not bit-identical; 1e-12 relative is far above accumulated ulp noise
-/// and far below any quantity the selection layer distinguishes.
+/// than at its sorted position, so delta evaluations of a candidate that
+/// does not sort last are ulp-equivalent, not bit-identical; 1e-12
+/// relative is far above accumulated ulp noise and far below any quantity
+/// the selection layer distinguishes.
 constexpr double kTol = 1e-12;
 
 void ExpectQualityNear(const EstimatedQuality& a, const EstimatedQuality& b,
@@ -165,79 +168,93 @@ TEST_P(EvalContextTest, EstimateWithMatchesFreshEstimate) {
         return false;
       }());
       set.push_back(next);
-      ctx.Push(next);
+      ctx.Reset(set);
     }
   }
 }
 
+// A seeded fuzz of push (one member more), pop (one member less) and clear
+// moves over a sorted set, each applied through Reset. After every step
+// the context must evaluate the new set bit for bit like a fresh context
+// Reset to it and like `Estimate`, and a candidate that sorts last like
+// `Estimate` of the grown set.
 TEST_P(EvalContextTest, PushPopFuzzMatchesFreshEstimate) {
   QualityEstimator est = MakeEstimator(OptionsFromMask(GetParam()));
   const std::size_t n = est.source_count();
   Rng rng(1234 + static_cast<std::uint64_t>(GetParam()));
   QualityEstimator::EvalContext ctx = est.MakeEvalContext();
-  std::vector<SourceHandle> shadow;
+  std::vector<SourceHandle> set;
   std::vector<EstimatedQuality> batched;
+  std::vector<EstimatedQuality> fresh_batched;
   for (int step = 0; step < 200; ++step) {
     const double u = rng.UniformDouble(0.0, 1.0);
-    if (shadow.empty() || (u < 0.55 && shadow.size() < n)) {
+    if (set.empty() || (u < 0.55 && set.size() < n)) {
       SourceHandle next;
       do {
         next = static_cast<SourceHandle>(rng.NextBounded(n));
-      } while ([&] {
-        for (SourceHandle h : shadow) {
-          if (h == next) return true;
-        }
-        return false;
-      }());
-      ctx.Push(next);
-      shadow.push_back(next);
+      } while (std::binary_search(set.begin(), set.end(), next));
+      set.insert(std::upper_bound(set.begin(), set.end(), next), next);
     } else if (u < 0.9) {
-      ctx.Pop();
-      shadow.pop_back();
+      set.erase(set.begin() +
+                static_cast<std::ptrdiff_t>(rng.NextBounded(set.size())));
     } else {
-      ctx.Clear();
-      shadow.clear();
+      set.clear();
     }
-    ASSERT_EQ(ctx.pushed(), shadow) << "step " << step;
-    // Spot-check one eval time per step, the full batch every 16 steps.
-    const TimePoint t =
-        est.eval_times()[rng.NextBounded(est.eval_times().size())];
-    ExpectQualityNear(ctx.EstimateCurrent(t), est.Estimate(shadow, t),
-                      "fuzz step " + std::to_string(step) + ", mask " +
-                          std::to_string(GetParam()));
-    if (step % 16 == 0) {
-      ctx.EstimateAllTimes(batched);
-      ASSERT_EQ(batched.size(), est.eval_times().size());
-      for (std::size_t i = 0; i < batched.size(); ++i) {
-        ExpectQualityNear(
-            batched[i], est.Estimate(shadow, est.eval_times()[i]),
-            "fuzz batched step " + std::to_string(step));
+    ctx.Reset(set);
+    const std::string what = "step " + std::to_string(step) + ", mask " +
+                             std::to_string(GetParam());
+
+    QualityEstimator::EvalContext fresh = est.MakeEvalContext();
+    fresh.Reset(set);
+    ctx.EstimateAllTimes(batched);
+    fresh.EstimateAllTimes(fresh_batched);
+    ASSERT_EQ(batched.size(), est.eval_times().size());
+    ASSERT_EQ(fresh_batched.size(), batched.size());
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      ExpectQualityIdentical(batched[i], fresh_batched[i],
+                             "vs fresh context, " + what);
+      ExpectQualityIdentical(batched[i],
+                             est.Estimate(set, est.eval_times()[i]),
+                             "vs Estimate, " + what);
+    }
+    const SourceHandle last = set.empty() ? 0 : set.back() + 1;
+    for (SourceHandle x = last; x < n; ++x) {
+      std::vector<SourceHandle> with = set;
+      with.push_back(x);
+      for (TimePoint t : est.eval_times()) {
+        ExpectQualityIdentical(ctx.EstimateWith(x, t), est.Estimate(with, t),
+                               "with " + std::to_string(x) + ", " + what);
       }
     }
   }
 }
 
+// Popping x from S + {x} by a Reset back to S, where x's near-zero miss
+// products could only be removed inexactly by division, restores S's
+// evaluation bit for bit: Reset rebuilds from the set, it never undoes a
+// factor.
 TEST_P(EvalContextTest, PopRestoresBitExactly) {
   QualityEstimator est = MakeEstimator(OptionsFromMask(GetParam()));
   const std::size_t n = est.source_count();
   QualityEstimator::EvalContext ctx = est.MakeEvalContext();
   std::vector<EstimatedQuality> before;
   std::vector<EstimatedQuality> after;
+  std::vector<SourceHandle> set;
   for (std::size_t depth = 0; depth < n; ++depth) {
+    ctx.Reset(set);
     ctx.EstimateAllTimes(before);
-    // Push a source whose near-zero miss products would amplify rounding
-    // error under divide-back-out; checkpoint restore must be exact.
-    const SourceHandle pushed = static_cast<SourceHandle>(depth);
-    ctx.Push(pushed);
-    ctx.Pop();
+    std::vector<SourceHandle> grown = set;
+    grown.push_back(static_cast<SourceHandle>(depth));
+    ctx.Reset(grown);
+    ctx.Reset(set);
     ctx.EstimateAllTimes(after);
     ASSERT_EQ(before.size(), after.size());
     for (std::size_t i = 0; i < before.size(); ++i) {
       ExpectQualityIdentical(after[i], before[i],
-                             "pop at depth " + std::to_string(depth) +
+                             "shrink at depth " + std::to_string(depth) +
                                  ", mask " + std::to_string(GetParam()));
     }
-    ctx.Push(pushed);
+    set = std::move(grown);
   }
 }
 

@@ -11,8 +11,8 @@
 //    capture-backlog.
 //  * The kMissProductFloor underflow fix: ~200 high-effectiveness sources
 //    drive the per-tau miss products far below the subnormal range; the
-//    floor keeps the arithmetic normal while Push/Pop stays bit-exact and
-//    incremental evaluations keep matching full recomputes.
+//    floor keeps the arithmetic normal while incremental evaluations keep
+//    matching full recomputes, bit for bit at full depth.
 
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -173,6 +173,7 @@ TEST_P(KernelEquivalenceTest, FastMathDeltaPathWithinBoundOfExact) {
   QualityEstimator::EvalContext exact_ctx = exact.MakeEvalContext();
   QualityEstimator::EvalContext fast_ctx = fast.MakeEvalContext();
   const std::size_t n = exact.source_count();
+  std::vector<SourceHandle> set;
   for (std::size_t depth = 0; depth < n; ++depth) {
     for (std::size_t c = 0; c < n; ++c) {
       const SourceHandle cand = static_cast<SourceHandle>(c);
@@ -183,8 +184,9 @@ TEST_P(KernelEquivalenceTest, FastMathDeltaPathWithinBoundOfExact) {
                                 ", depth " + std::to_string(depth));
       }
     }
-    exact_ctx.Push(static_cast<SourceHandle>(depth));
-    fast_ctx.Push(static_cast<SourceHandle>(depth));
+    set.push_back(static_cast<SourceHandle>(depth));
+    exact_ctx.Reset(set);
+    fast_ctx.Reset(set);
   }
 }
 
@@ -233,7 +235,7 @@ SourceProfile HighEffectivenessProfile(const world::World& world, int index,
   p.sig_t0.cov = BitVector(entities);
   p.sig_t0.all = BitVector(entities);
   // Sparse, index-dependent signatures so union counts keep moving as
-  // sources are pushed.
+  // sources are added.
   for (std::size_t id = static_cast<std::size_t>(index) % 7; id < entities;
        id += 7) {
     p.sig_t0.up.Set(id);
@@ -293,10 +295,9 @@ TEST_P(UnderflowRegressionTest, TwoHundredSourcesStayConsistent) {
   QualityEstimator::EvalContext ctx = est.MakeEvalContext();
   std::vector<SourceHandle> set;
   for (int i = 0; i < kSources; ++i) {
-    const SourceHandle handle = static_cast<SourceHandle>(i);
-    ctx.Push(handle);
-    set.push_back(handle);
+    set.push_back(static_cast<SourceHandle>(i));
     if ((i + 1) % 25 == 0 || i + 1 == kSources) {
+      ctx.Reset(set);
       for (TimePoint t : est.eval_times()) {
         const EstimatedQuality incremental = ctx.EstimateCurrent(t);
         const EstimatedQuality full = est.Estimate(set, t);
@@ -310,7 +311,7 @@ TEST_P(UnderflowRegressionTest, TwoHundredSourcesStayConsistent) {
   }
 }
 
-TEST_P(UnderflowRegressionTest, PushPopBitExactAtFullDepth) {
+TEST_P(UnderflowRegressionTest, ResetBitExactAtFullDepth) {
   QualityEstimator::Options options;
   options.model_capture_backlog = GetParam();
   QualityEstimator est =
@@ -321,22 +322,29 @@ TEST_P(UnderflowRegressionTest, PushPopBitExactAtFullDepth) {
     ASSERT_TRUE(est.AddSource(&p, 1).ok());
   }
 
-  QualityEstimator::EvalContext ctx = est.MakeEvalContext();
+  // At depth 199 every product sits at the floor. The context Reset to
+  // that set must evaluate it bit for bit like `Estimate`, and still does
+  // after a Reset to the 200-source set and back.
+  std::vector<SourceHandle> set;
   for (int i = 0; i + 1 < kSources; ++i) {
-    ctx.Push(static_cast<SourceHandle>(i));
+    set.push_back(static_cast<SourceHandle>(i));
   }
-  // At depth 199 every product sits at the floor; a further Push + Pop
-  // must restore the state bit-exactly (checkpoint restore, not divide).
+  std::vector<SourceHandle> full = set;
+  full.push_back(static_cast<SourceHandle>(kSources - 1));
+  QualityEstimator::EvalContext ctx = est.MakeEvalContext();
+  ctx.Reset(set);
   std::vector<EstimatedQuality> before;
   std::vector<EstimatedQuality> after;
   ctx.EstimateAllTimes(before);
-  ctx.Push(static_cast<SourceHandle>(kSources - 1));
-  ctx.Pop();
+  ctx.Reset(full);
+  ctx.Reset(set);
   ctx.EstimateAllTimes(after);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
-    ExpectQualityIdentical(after[i], before[i],
-                           "time index " + std::to_string(i));
+    const std::string what = "time index " + std::to_string(i);
+    ExpectQualityIdentical(after[i], before[i], what);
+    ExpectQualityIdentical(before[i], est.Estimate(set, est.eval_times()[i]),
+                           what);
   }
 }
 

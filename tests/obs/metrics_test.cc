@@ -257,6 +257,37 @@ TEST(HistogramPercentileTest, LivePercentilesAreOrderedAndBounded) {
   EXPECT_GT(p99, 4.0);
 }
 
+TEST(HistogramPercentileTest, SingleSampleReportsItsValue) {
+  // Interpolating inside the (0.1, 0.316] bucket would report p50 = 0.208
+  // and p99 = 0.314 for this one sample; the clamp to the recorded range
+  // reports the sample itself.
+  Histogram histogram(Histogram::DefaultLatencyBounds());
+  histogram.Record(0.133);
+  const Histogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.50), 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.99), 0.133);
+}
+
+TEST(HistogramPercentileTest, PercentilesStayInsideTheRecordedRange) {
+  Histogram histogram({1.0, 10.0, 100.0});
+  histogram.Record(12.0);
+  histogram.Record(15.0);
+  histogram.Record(40.0);
+  Histogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(snapshot.min, 12.0);
+  EXPECT_DOUBLE_EQ(snapshot.max, 40.0);
+  for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_GE(snapshot.Percentile(q), 12.0) << q;
+    EXPECT_LE(snapshot.Percentile(q), 40.0) << q;
+  }
+  // Reset forgets the range along with the counts.
+  histogram.Reset();
+  histogram.Record(2.0);
+  snapshot = histogram.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.0), 2.0);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(1.0), 2.0);
+}
+
 TEST(ScopedLatencyTimerTest, RecordsOnDestruction) {
   Histogram histogram(Histogram::DefaultLatencyBounds());
   {

@@ -160,38 +160,31 @@ TEST_F(ProfitOracleFixture, GainAveragesPerTimeGains) {
   EXPECT_NEAR(oracle.Gain({0}), expected, 1e-12);
 }
 
-TEST_F(ProfitOracleFixture, FullEvalContextStackMatchesEstimatorContext) {
+TEST_F(ProfitOracleFixture, FullEvalContextResetMatchesEstimatorContext) {
+  // Through any sequence of Resets, repeats included, the adapter and the
+  // estimator's own context hold the same set and score it - and every
+  // candidate that sorts last - to the same bits.
   ProfitOracle oracle = MakeOracle(ProfitOracle::Config{});
   const std::unique_ptr<MarginalEvalContext> estimator_ctx =
       oracle.MakeContext();
   ASSERT_NE(estimator_ctx, nullptr);
   FullEvalContext full(oracle);
   EXPECT_TRUE(full.set().empty());
-  auto expect_same = [&](const std::vector<SourceHandle>& expected) {
-    EXPECT_EQ(full.set(), expected);
-    EXPECT_EQ(estimator_ctx->set(), expected);
-  };
-  for (MarginalEvalContext* ctx : {static_cast<MarginalEvalContext*>(&full),
-                                   estimator_ctx.get()}) {
-    ctx->Reset({2});
-    ctx->Push(0);
-    ctx->Push(1);
+  EXPECT_TRUE(estimator_ctx->set().empty());
+  const std::vector<std::vector<SourceHandle>> sequence = {
+      {2}, {0, 1, 2}, {0, 2}, {0, 2}, {}, {0, 1}, {0}};
+  for (const std::vector<SourceHandle>& set : sequence) {
+    full.Reset(set);
+    estimator_ctx->Reset(set);
+    EXPECT_EQ(full.set(), set);
+    EXPECT_EQ(estimator_ctx->set(), set);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator_ctx->CurrentProfit()),
+              std::bit_cast<std::uint64_t>(full.CurrentProfit()));
+    for (SourceHandle h = set.empty() ? 0 : set.back() + 1; h < 3; ++h) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator_ctx->ProfitWith(h)),
+                std::bit_cast<std::uint64_t>(full.ProfitWith(h)));
+    }
   }
-  expect_same({0, 1, 2});
-  full.Pop();
-  estimator_ctx->Pop();
-  expect_same({0, 2});  // Pop undoes the most recent Push...
-  full.Pop();
-  estimator_ctx->Pop();
-  expect_same({2});  // ...then the one before it...
-  full.Pop();
-  estimator_ctx->Pop();
-  expect_same({});  // ...then the Reset set, last element first.
-  full.Reset({0, 1});
-  estimator_ctx->Reset({0, 1});
-  full.Pop();
-  estimator_ctx->Pop();
-  expect_same({0});
 }
 
 TEST_F(ProfitOracleFixture, FullEvalContextMakesThePlainCalls) {
