@@ -83,7 +83,7 @@ void LifespanPanel(const workloads::Scenario& bl) {
   std::vector<stats::CensoredObservation> observations;
   std::vector<double> exact;
   for (world::EntityId id : bl.world.EntitiesInSubdomain(busiest)) {
-    const world::EntityRecord& e = bl.world.entity(id);
+    const world::EntityRow& e = bl.world.entity(id);
     if (e.birth > bl.t0) continue;
     if (e.death != world::kNever && e.death <= bl.t0) {
       observations.push_back(

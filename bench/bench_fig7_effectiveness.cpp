@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
   stats::Histogram censored = stats::Histogram::Create(0, 300, 12).value();
   for (world::SubdomainId sub : source.spec().scope) {
     for (world::EntityId id : bl->world.EntitiesInSubdomain(sub)) {
-      const world::EntityRecord& entity = bl->world.entity(id);
+      const world::EntityRow& entity = bl->world.entity(id);
       if (entity.birth <= 0 || entity.birth > bl->t0) continue;
-      const source::CaptureRecord* rec = source.Find(id);
+      const source::CaptureRow* rec = source.Find(id);
       if (rec != nullptr && rec->inserted <= bl->t0) {
         exact.Add(static_cast<double>(rec->inserted - entity.birth));
       } else {
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
   stats::KaplanMeierEstimator km;
   for (world::SubdomainId sub : source.spec().scope) {
     for (world::EntityId id : bl->world.EntitiesInSubdomain(sub)) {
-      const world::EntityRecord& entity = bl->world.entity(id);
+      const world::EntityRow& entity = bl->world.entity(id);
       if (entity.birth <= 0 || entity.birth > bl->t0) continue;
-      const source::CaptureRecord* rec = source.Find(id);
+      const source::CaptureRow* rec = source.Find(id);
       if (rec != nullptr && rec->inserted <= bl->t0) {
         km.Add(static_cast<double>(rec->inserted - entity.birth), true);
       } else {

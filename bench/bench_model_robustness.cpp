@@ -51,7 +51,7 @@ Result<RobustnessRow> RunShape(double shape) {
 
   // (1) Model check on the observed (censored) lifespans.
   std::vector<stats::CensoredObservation> lifespans;
-  for (const world::EntityRecord& e : world.entities()) {
+  for (const world::EntityRow& e : world.entities()) {
     if (e.birth > t0) continue;
     if (e.death != world::kNever && e.death <= t0) {
       lifespans.push_back({static_cast<double>(e.death - e.birth), true});

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "common/bit_vector.h"
 #include "obs/macros.h"
 #include "stats/kaplan_meier.h"
 
@@ -29,10 +32,11 @@ double SourceProfile::Effectiveness(const stats::StepFunction& g, double t,
 
 namespace {
 
-/// Finds the capture day of world version `version` in `rec`, or kNever.
-TimePoint VersionCaptureDay(const source::CaptureRecord& rec,
+/// Finds the capture day of world version `version` in `captures`, or
+/// kNever.
+TimePoint VersionCaptureDay(std::span<const source::VersionCapture> captures,
                             std::uint32_t version) {
-  for (const auto& [v, day] : rec.version_captures) {
+  for (const auto& [v, day] : captures) {
     if (v == version) return day;
   }
   return world::kNever;
@@ -58,35 +62,68 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
   profile.sig_t0 = integration::BuildSignatures(world, history, t0);
 
   // Observed scope and the source's distinct content-update days within T.
-  std::set<world::SubdomainId> scope;
-  std::set<TimePoint> update_days;
-  for (const source::CaptureRecord& rec : history.records()) {
+  // The fit reads only the sorted scope and the count, first and last of the
+  // update days, so bitmaps replace ordered sets: subdomains over the
+  // domain, days over [0, t0] (no longer than the world's per-day count
+  // arrays, as t0 <= horizon). Days before 0 are legal but rare and go to a
+  // side list.
+  std::vector<bool> in_scope(world.domain().subdomain_count(), false);
+  BitVector update_days(static_cast<std::size_t>(t0) + 1);
+  std::vector<TimePoint> early_days;
+  auto add_update_day = [&](TimePoint day) {
+    if (day >= 0) {
+      update_days.Set(static_cast<std::size_t>(day));
+    } else {
+      early_days.push_back(day);
+    }
+  };
+  for (const source::CaptureRow& rec : history.records()) {
     bool seen_by_t0 = false;
-    for (const auto& [version, day] : rec.version_captures) {
+    for (const auto& [version, day] : history.captures(rec)) {
       if (day <= t0) {
-        update_days.insert(day);
+        add_update_day(day);
         seen_by_t0 = true;
       }
     }
     if (rec.deleted != world::kNever && rec.deleted <= t0) {
-      update_days.insert(rec.deleted);
+      add_update_day(rec.deleted);
       seen_by_t0 = true;
     }
-    if (seen_by_t0) scope.insert(rec.subdomain);
+    if (!seen_by_t0) continue;
+    if (rec.subdomain >= in_scope.size()) {
+      return Status::InvalidArgument("capture row subdomain " +
+                                     std::to_string(rec.subdomain) +
+                                     " is outside the world's domain");
+    }
+    in_scope[rec.subdomain] = true;
   }
-  profile.observed_scope.assign(scope.begin(), scope.end());
+  for (std::size_t sub = 0; sub < in_scope.size(); ++sub) {
+    if (in_scope[sub]) {
+      profile.observed_scope.push_back(static_cast<world::SubdomainId>(sub));
+    }
+  }
+  std::sort(early_days.begin(), early_days.end());
+  early_days.erase(std::unique(early_days.begin(), early_days.end()),
+                   early_days.end());
+  const std::size_t update_day_count =
+      early_days.size() + update_days.Count();
+  TimePoint first_day = early_days.empty() ? world::kNever : early_days[0];
+  TimePoint last_day = early_days.empty() ? 0 : early_days.back();
+  update_days.VisitSetBits([&](std::size_t day) {
+    first_day = std::min(first_day, static_cast<TimePoint>(day));
+    last_day = static_cast<TimePoint>(day);
+  });
 
   // Learned update interval u_S (mean gap between distinct update days) and
   // the anchor t_S0 (last observed update day).
-  if (update_days.size() >= 2) {
-    const double span = static_cast<double>(
-        *update_days.rbegin() - *update_days.begin());
+  if (update_day_count >= 2) {
+    const double span = static_cast<double>(last_day - first_day);
     profile.update_interval =
-        span / static_cast<double>(update_days.size() - 1);
+        span / static_cast<double>(update_day_count - 1);
   } else {
     profile.update_interval = 1.0;  // Fallback: assume daily refresh.
   }
-  profile.anchor = update_days.empty() ? t0 : *update_days.rbegin();
+  profile.anchor = update_day_count == 0 ? t0 : last_day;
 
   // Kaplan-Meier effectiveness distributions from exact + right-censored
   // delays (Section 4.1.2 / Figure 7).
@@ -96,8 +133,8 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
 
   for (world::SubdomainId sub : profile.observed_scope) {
     for (world::EntityId id : world.EntitiesInSubdomain(sub)) {
-      const world::EntityRecord& entity = world.entity(id);
-      const source::CaptureRecord* rec = history.Find(id);
+      const world::EntityRow& entity = world.entity(id);
+      const source::CaptureRow* rec = history.Find(id);
 
       // Insertion delays: appearances within (0, t0].
       if (entity.birth > 0 && entity.birth <= t0) {
@@ -126,10 +163,12 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
       // Value-update delays: world updates within (0, t0] of mentioned
       // entities.
       std::uint32_t version = 0;
-      for (TimePoint u : entity.update_times) {
+      const std::span<const source::VersionCapture> captures =
+          history.captures(*rec);
+      for (TimePoint u : world.update_times(id)) {
         ++version;
         if (u <= 0 || u > t0) continue;
-        const TimePoint day = VersionCaptureDay(*rec, version);
+        const TimePoint day = VersionCaptureDay(captures, version);
         if (day != world::kNever && day <= t0) {
           km_update.Add(static_cast<double>(day - u), true);
         } else {

@@ -4,12 +4,14 @@
 #include <cstdint>
 
 #include "common/check.h"
+#include "obs/macros.h"
 #include "stats/exponential.h"
 
 namespace freshsel::estimation {
 
 Result<WorldChangeModel> WorldChangeModel::Learn(const world::World& world,
                                                  TimePoint t0) {
+  FRESHSEL_TRACE_SPAN("estimation/world_learn");
   if (t0 <= 0 || t0 > world.horizon()) {
     return Status::InvalidArgument("t0 must be in (0, horizon]");
   }
@@ -25,7 +27,7 @@ Result<WorldChangeModel> WorldChangeModel::Learn(const world::World& world,
   };
   std::vector<Tally> tallies(sub_count);
 
-  for (const world::EntityRecord& entity : world.entities()) {
+  for (const world::EntityRow& entity : world.entities()) {
     Tally& tally = tallies[entity.subdomain];
     if (entity.birth > t0) continue;  // Future entity: invisible in T.
     if (entity.birth > 0) ++tally.appearances;
@@ -42,7 +44,7 @@ Result<WorldChangeModel> WorldChangeModel::Learn(const world::World& world,
 
     // Inter-update gaps; the trailing gap (last change to t0) is censored.
     TimePoint prev_change = entity.birth;
-    for (TimePoint u : entity.update_times) {
+    for (TimePoint u : world.update_times(entity.id)) {
       if (u > t0) break;
       ++tally.updates;
       tally.update_gaps.push_back(

@@ -27,7 +27,7 @@ Result<ReconstructionResult> ReconstructWorld(
     TimePoint horizon, std::size_t original_entity_count) {
   std::map<world::EntityId, EntityEvidence> evidence;
   for (const source::SourceHistory* history : sources) {
-    for (const source::CaptureRecord& rec : history->records()) {
+    for (const source::CaptureRow& rec : history->records()) {
       if (rec.entity >= original_entity_count) {
         return Status::InvalidArgument(
             "capture record entity id exceeds original_entity_count");
@@ -36,7 +36,7 @@ Result<ReconstructionResult> ReconstructWorld(
       ev.subdomain = rec.subdomain;
       ev.mentions += 1;
       ev.first_mention = std::min(ev.first_mention, rec.inserted);
-      for (const auto& [version, day] : rec.version_captures) {
+      for (const auto& [version, day] : history->captures(rec)) {
         auto [it, inserted] = ev.version_days.try_emplace(version, day);
         if (!inserted) it->second = std::min(it->second, day);
       }
@@ -75,7 +75,7 @@ Result<ReconstructionResult> ReconstructWorld(
       record.death = world::kNever;
     }
 
-    FRESHSEL_RETURN_IF_ERROR(result.world.AddEntity(std::move(record)));
+    FRESHSEL_RETURN_IF_ERROR(result.world.AddEntity(record));
     result.to_original.push_back(original_id);
     result.from_original[original_id] = static_cast<std::int32_t>(next_id);
     ++next_id;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/check.h"
 
@@ -28,12 +29,14 @@ ReconstructionQuality EvaluateReconstruction(
   std::size_t updates_total = 0;
   std::size_t updates_matched = 0;
 
-  for (const world::EntityRecord& gold : truth.entities()) {
+  for (const world::EntityRow& gold : truth.entities()) {
+    const std::span<const TimePoint> gold_update_times =
+        truth.update_times(gold.id);
     const std::int32_t mapped =
         gold.id < result.from_original.size()
             ? result.from_original[gold.id]
             : -1;
-    std::size_t gold_updates = gold.update_times.size();
+    std::size_t gold_updates = gold_update_times.size();
     updates_total += gold_updates;
     // Deaths after the observation horizon are invisible to every source;
     // only in-window disappearances count as recoverable.
@@ -42,8 +45,10 @@ ReconstructionQuality EvaluateReconstruction(
     if (died_in_window) ++dead_truth;
     if (mapped < 0) continue;
     ++matched;
-    const world::EntityRecord& recon =
-        result.world.entity(static_cast<world::EntityId>(mapped));
+    const world::EntityId recon_id = static_cast<world::EntityId>(mapped);
+    const world::EntityRow& recon = result.world.entity(recon_id);
+    const std::span<const TimePoint> recon_update_times =
+        result.world.update_times(recon_id);
 
     const double birth_gap =
         std::fabs(static_cast<double>(recon.birth - gold.birth));
@@ -58,15 +63,15 @@ ReconstructionQuality EvaluateReconstruction(
 
     // Greedy in-order matching of update times within tolerance.
     std::size_t r = 0;
-    for (TimePoint gold_update : gold.update_times) {
-      while (r < recon.update_times.size() &&
-             static_cast<double>(recon.update_times[r]) <
+    for (TimePoint gold_update : gold_update_times) {
+      while (r < recon_update_times.size() &&
+             static_cast<double>(recon_update_times[r]) <
                  static_cast<double>(gold_update) -
                      options.update_tolerance) {
         ++r;
       }
-      if (r < recon.update_times.size() &&
-          std::fabs(static_cast<double>(recon.update_times[r] -
+      if (r < recon_update_times.size() &&
+          std::fabs(static_cast<double>(recon_update_times[r] -
                                         gold_update)) <=
               options.update_tolerance) {
         ++updates_matched;

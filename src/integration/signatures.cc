@@ -8,13 +8,13 @@ SourceSignatures BuildSignatures(const world::World& world,
   SourceSignatures sig{BitVector(world.entity_count()),
                        BitVector(world.entity_count()),
                        BitVector(world.entity_count())};
-  for (const source::CaptureRecord& rec : history.records()) {
+  for (const source::CaptureRow& rec : history.records()) {
     if (!rec.ContainsAt(t)) continue;
     sig.all.Set(rec.entity);
-    const world::EntityRecord& entity = world.entity(rec.entity);
-    if (!entity.ExistsAt(t)) continue;  // Non-deleted ghost.
+    // A non-deleted ghost is in `all` but not `cov`.
+    if (!world.entity(rec.entity).ExistsAt(t)) continue;
     sig.cov.Set(rec.entity);
-    if (rec.KnownVersionAt(t) == entity.VersionAt(t)) {
+    if (history.KnownVersionAt(rec, t) == world.VersionAt(rec.entity, t)) {
       sig.up.Set(rec.entity);
     }
   }

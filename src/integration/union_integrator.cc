@@ -35,7 +35,7 @@ IntegratedSnapshot IntegrateAt(
   };
 
   for (const source::SourceHistory* history : sources) {
-    for (const source::CaptureRecord& rec : history->records()) {
+    for (const source::CaptureRow& rec : history->records()) {
       if (rec.inserted > t) continue;  // Never mentioned by t.
       IntegratedReference ref;
       ref.entity = rec.entity;
@@ -48,7 +48,7 @@ IntegratedSnapshot IntegrateAt(
         // Displayed version and the day the source learned it.
         std::uint32_t version = 0;
         TimePoint version_day = rec.inserted;
-        for (const auto& [v, day] : rec.version_captures) {
+        for (const auto& [v, day] : history->captures(rec)) {
           if (day > t) break;
           if (v >= version) {
             version = v;

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -60,13 +61,6 @@ Status ForEachPart(std::string_view text, char separator, PartFn part_fn) {
   }
 }
 
-/// Number of `separator`-delimited parts in a non-empty `text`.
-std::size_t PartCount(std::string_view text, char separator) {
-  return static_cast<std::size_t>(
-             std::count(text.begin(), text.end(), separator)) +
-         1;
-}
-
 /// Reads '\n'-terminated lines into one reused buffer with std::getline
 /// semantics: a '\r' stays in the line and a last line without '\n' is
 /// still read. Tells a read error apart from the end of the file.
@@ -92,7 +86,7 @@ class LineReader {
   std::string line_;
 };
 
-std::string JoinTimes(const std::vector<TimePoint>& times) {
+std::string JoinTimes(std::span<const TimePoint> times) {
   std::vector<std::string> parts;
   parts.reserve(times.size());
   for (TimePoint t : times) parts.push_back(std::to_string(t));
@@ -101,7 +95,6 @@ std::string JoinTimes(const std::vector<TimePoint>& times) {
 
 Status ParseTimes(std::string_view text, std::vector<TimePoint>* times) {
   if (text.empty()) return Status::OK();
-  times->reserve(PartCount(text, '|'));
   return ForEachPart(text, '|', [times](std::string_view part) {
     std::int64_t value = 0;
     FRESHSEL_RETURN_IF_ERROR(ParseInt(part, &value));
@@ -110,11 +103,9 @@ Status ParseTimes(std::string_view text, std::vector<TimePoint>* times) {
   });
 }
 
-Status ParseCaptures(
-    std::string_view text,
-    std::vector<std::pair<std::uint32_t, TimePoint>>* captures) {
+Status ParseCaptures(std::string_view text,
+                     std::vector<source::VersionCapture>* captures) {
   if (text.empty()) return Status::OK();
-  captures->reserve(PartCount(text, '|'));
   return ForEachPart(text, '|', [captures](std::string_view pair) {
     std::array<std::string_view, 2> parts;
     if (SplitFields(pair, ':', &parts) != 2) {
@@ -163,13 +154,17 @@ Result<world::World> ParseWorld(std::istream& in, const std::string& path,
     return Status::InvalidArgument("bad world column header");
   }
   std::array<std::string_view, 5> fields;
+  // One scratch record for the whole file: AddEntity copies its update
+  // times into the world's flat array, so a row allocates nothing once the
+  // scratch vector has grown to the longest row.
+  world::EntityRecord record;
   while (reader.Next()) {
     const std::string& line = reader.line();
     if (line.empty()) continue;
     if (SplitFields(line, ',', &fields) != 5) {
       return Status::InvalidArgument("bad world row: " + line);
     }
-    world::EntityRecord record;
+    record.update_times.clear();
     std::int64_t value = 0;
     FRESHSEL_RETURN_IF_ERROR(ParseInt(fields[0], &value));
     record.id = static_cast<world::EntityId>(value);
@@ -182,7 +177,7 @@ Result<world::World> ParseWorld(std::istream& in, const std::string& path,
       FRESHSEL_RETURN_IF_ERROR(ParseInt(fields[3], &record.death));
     }
     FRESHSEL_RETURN_IF_ERROR(ParseTimes(fields[4], &record.update_times));
-    FRESHSEL_RETURN_IF_ERROR(world.AddEntity(std::move(record)));
+    FRESHSEL_RETURN_IF_ERROR(world.AddEntity(record));
     ++*rows;
   }
   FRESHSEL_RETURN_IF_ERROR(reader.ReadStatus());
@@ -239,13 +234,15 @@ Result<source::SourceHistory> ParseSourceHistory(std::istream& in,
     return Status::InvalidArgument("bad source column header");
   }
   std::array<std::string_view, 5> fields;
+  // One scratch record for the whole file, as in ParseWorld.
+  source::CaptureRecord record;
   while (reader.Next()) {
     const std::string& line = reader.line();
     if (line.empty()) continue;
     if (SplitFields(line, ',', &fields) != 5) {
       return Status::InvalidArgument("bad source row: " + line);
     }
-    source::CaptureRecord record;
+    record.version_captures.clear();
     std::int64_t value = 0;
     FRESHSEL_RETURN_IF_ERROR(ParseInt(fields[0], &value));
     record.entity = static_cast<world::EntityId>(value);
@@ -259,7 +256,7 @@ Result<source::SourceHistory> ParseSourceHistory(std::istream& in,
     }
     FRESHSEL_RETURN_IF_ERROR(
         ParseCaptures(fields[4], &record.version_captures));
-    FRESHSEL_RETURN_IF_ERROR(history.AddRecord(std::move(record)));
+    FRESHSEL_RETURN_IF_ERROR(history.AddRecord(record));
     ++*rows;
   }
   FRESHSEL_RETURN_IF_ERROR(reader.ReadStatus());
@@ -280,7 +277,7 @@ Status WriteWorldCsv(const world::World& world, const std::string& path) {
       << domain.dim2_name() << ',' << domain.dim2_size() << ','
       << world.horizon() << '\n';
   out << "id,subdomain,birth,death,updates\n";
-  for (const world::EntityRecord& entity : world.entities()) {
+  for (const world::EntityRow& entity : world.entities()) {
     // A record violating the lifespan invariant means the in-memory world is
     // corrupt; refuse to persist it rather than round-trip garbage.
     FRESHSEL_DCHECK(entity.death == world::kNever ||
@@ -288,7 +285,7 @@ Status WriteWorldCsv(const world::World& world, const std::string& path) {
     out << entity.id << ',' << entity.subdomain << ',' << entity.birth
         << ',';
     if (entity.death != world::kNever) out << entity.death;
-    out << ',' << JoinTimes(entity.update_times) << '\n';
+    out << ',' << JoinTimes(world.update_times(entity.id)) << '\n';
     FRESHSEL_OBS_COUNT("io.world_rows.written", 1);
   }
   if (!out) return Status::IoError("write failed: " + path);
@@ -338,13 +335,13 @@ Status WriteSourceHistoryCsv(const source::SourceHistory& history,
     out << "#scope," << Join(scope, "|") << '\n';
   }
   out << "entity,subdomain,inserted,deleted,captures\n";
-  for (const source::CaptureRecord& rec : history.records()) {
+  for (const source::CaptureRow& rec : history.records()) {
     out << rec.entity << ',' << rec.subdomain << ',' << rec.inserted << ',';
     if (rec.deleted != world::kNever) out << rec.deleted;
     out << ',';
     std::vector<std::string> captures;
-    captures.reserve(rec.version_captures.size());
-    for (const auto& [version, day] : rec.version_captures) {
+    captures.reserve(rec.capture_count);
+    for (const auto& [version, day] : history.captures(rec)) {
       captures.push_back(std::to_string(version) + ':' +
                          std::to_string(day));
     }

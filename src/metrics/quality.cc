@@ -121,10 +121,10 @@ DelayStats InsertionDelayStats(const world::World& world,
   std::int64_t delayed = 0;
   for (world::SubdomainId sub : history.spec().scope) {
     for (world::EntityId id : world.EntitiesInSubdomain(sub)) {
-      const world::EntityRecord& entity = world.entity(id);
+      const world::EntityRow& entity = world.entity(id);
       if (!window.Contains(entity.birth)) continue;
       ++stats.observed;
-      const source::CaptureRecord* rec = history.Find(id);
+      const source::CaptureRow* rec = history.Find(id);
       if (rec == nullptr || rec->inserted == world::kNever) {
         ++delayed;  // Never captured: counted as delayed.
         continue;

@@ -59,6 +59,35 @@ std::string RunReport::ToJson() const {
 
 namespace {
 
+/// Recovers what the file tells of a histogram's recorded range, which it
+/// does not serialize. One record is its own sum. Otherwise the writer
+/// clamped each of p50/p95/p99 to the range, and a clamp that binds
+/// returns the bound itself: a written percentile below the bucket
+/// estimate is the maximum, one above it the minimum. Percentile() on the
+/// result then returns exactly the written values, and never one above
+/// every recorded value.
+void RecoverRange(const JsonValue& entry, Histogram::Snapshot* histogram) {
+  if (histogram->count == 1) {
+    histogram->min = histogram->max = histogram->sum;
+    return;
+  }
+  constexpr std::pair<const char*, double> kWritten[] = {
+      {"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}};
+  // The estimates are taken over the unbounded range first, before any
+  // recovered bound narrows it.
+  double estimates[std::size(kWritten)];
+  for (std::size_t i = 0; i < std::size(kWritten); ++i) {
+    estimates[i] = histogram->Percentile(kWritten[i].second);
+  }
+  for (std::size_t i = 0; i < std::size(kWritten); ++i) {
+    const JsonValue* written = entry.Find(kWritten[i].first);
+    if (written == nullptr || !written->is_number()) continue;
+    const double value = written->AsDouble();
+    if (value < estimates[i]) histogram->max = value;
+    if (value > estimates[i]) histogram->min = value;
+  }
+}
+
 /// Parses the embedded MetricsSnapshot object; absent/mistyped members are
 /// skipped (forward compatibility over strictness: a report with extra or
 /// missing metric families is still a usable report).
@@ -84,8 +113,6 @@ MetricsSnapshot ParseMetrics(const JsonValue& value) {
       Histogram::Snapshot histogram;
       histogram.count = entry.UintOr("count", 0);
       histogram.sum = entry.NumberOr("sum", 0.0);
-      // The range is not serialized, except that one record is its sum.
-      if (histogram.count == 1) histogram.min = histogram.max = histogram.sum;
       // mean/p50/p95/p99 are derived fields; recomputed on write.
       if (const JsonValue* bounds = entry.Find("bounds");
           bounds != nullptr && bounds->is_array()) {
@@ -99,6 +126,7 @@ MetricsSnapshot ParseMetrics(const JsonValue& value) {
           histogram.counts.push_back(count.AsUint64());
         }
       }
+      RecoverRange(entry, &histogram);
       snapshot.histograms[name] = std::move(histogram);
     }
   }

@@ -136,6 +136,12 @@ Result<ResidentScenario> LearnScenario(const std::string& name,
       estimation::RobustProfiles robust,
       estimation::LearnSourceProfilesRobust(data.world, data.sources, t0,
                                             options.degradation_mode));
+  {
+    // Nothing reads a history after the fits; free them here, under a span,
+    // rather than unspanned when `data` goes out of scope.
+    FRESHSEL_TRACE_SPAN("serve/drop_histories");
+    std::vector<source::SourceHistory>().swap(data.sources);
+  }
   ResidentScenario scenario{name,
                             /*epoch=*/0,
                             std::move(data.world),

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+
+#include "common/check.h"
 
 namespace freshsel::source {
 
 SourceHistory::SourceHistory(SourceSpec spec, std::size_t world_entity_count)
     : spec_(std::move(spec)), entity_index_(world_entity_count, -1) {}
 
-Status SourceHistory::AddRecord(CaptureRecord record) {
+Status SourceHistory::AddRecord(const CaptureRecord& record) {
   if (record.inserted == world::kNever) return Status::OK();
   if (record.entity >= entity_index_.size()) {
     return Status::InvalidArgument("entity id out of range");
@@ -16,12 +19,27 @@ Status SourceHistory::AddRecord(CaptureRecord record) {
   if (entity_index_[record.entity] >= 0) {
     return Status::InvalidArgument("duplicate capture record for entity");
   }
-  entity_index_[record.entity] = static_cast<std::int32_t>(records_.size());
-  records_.push_back(std::move(record));
+  if (record.version_captures.size() >
+      std::numeric_limits<std::uint32_t>::max() - captures_.size()) {
+    return Status::InvalidArgument("too many captures for one source");
+  }
+  Append({record.entity, record.subdomain, record.inserted, record.deleted},
+         record.version_captures);
   return Status::OK();
 }
 
-const CaptureRecord* SourceHistory::Find(world::EntityId entity) const {
+void SourceHistory::Append(CaptureRow row,
+                           std::span<const VersionCapture> captures) {
+  FRESHSEL_DCHECK(row.entity < entity_index_.size() &&
+                  entity_index_[row.entity] < 0);
+  row.first_capture = static_cast<std::uint32_t>(captures_.size());
+  row.capture_count = static_cast<std::uint32_t>(captures.size());
+  captures_.insert(captures_.end(), captures.begin(), captures.end());
+  entity_index_[row.entity] = static_cast<std::int32_t>(records_.size());
+  records_.push_back(row);
+}
+
+const CaptureRow* SourceHistory::Find(world::EntityId entity) const {
   if (entity >= entity_index_.size()) return nullptr;
   const std::int32_t index = entity_index_[entity];
   return index < 0 ? nullptr : &records_[static_cast<std::size_t>(index)];
@@ -29,7 +47,7 @@ const CaptureRecord* SourceHistory::Find(world::EntityId entity) const {
 
 std::int64_t SourceHistory::ContentCountAt(TimePoint t) const {
   std::int64_t count = 0;
-  for (const CaptureRecord& rec : records_) {
+  for (const CaptureRow& rec : records_) {
     if (rec.ContainsAt(t)) ++count;
   }
   return count;
@@ -48,13 +66,12 @@ SourceHistory SourceHistory::RestrictedTo(
     }
   }
   SourceHistory out(std::move(new_spec), entity_index_.size());
-  for (const CaptureRecord& rec : records_) {
+  for (const CaptureRow& rec : records_) {
     if (std::find(subdomains.begin(), subdomains.end(), rec.subdomain) ==
         subdomains.end()) {
       continue;
     }
-    Status status = out.AddRecord(rec);
-    (void)status;  // Ids are unique by construction.
+    out.Append(rec, captures(rec));
   }
   return out;
 }
@@ -69,29 +86,21 @@ SourceHistory SourceHistory::WithAcquisitionDivisor(
     if (day == world::kNever) return world::kNever;
     return acq.NextUpdateAtOrAfter(day);
   };
-  for (const CaptureRecord& rec : records_) {
-    CaptureRecord aligned;
-    aligned.entity = rec.entity;
-    aligned.subdomain = rec.subdomain;
-    aligned.deleted = realign(rec.deleted);
-    TimePoint earliest = world::kNever;
-    for (const auto& [version, day] : rec.version_captures) {
+  std::vector<VersionCapture> aligned;  // Reused across rows.
+  for (const CaptureRow& rec : records_) {
+    CaptureRow row{rec.entity, rec.subdomain, world::kNever,
+                   realign(rec.deleted)};
+    aligned.clear();
+    for (const auto& [version, day] : captures(rec)) {
       const TimePoint new_day = realign(day);
-      if (new_day >= aligned.deleted) continue;  // Deleted before acquired.
-      aligned.version_captures.emplace_back(version, new_day);
-      earliest = std::min(earliest, new_day);
+      if (new_day >= row.deleted) continue;  // Deleted before acquired.
+      aligned.emplace_back(version, new_day);
+      row.inserted = std::min(row.inserted, new_day);
     }
-    std::sort(aligned.version_captures.begin(),
-              aligned.version_captures.end(),
-              [](const auto& a, const auto& b) {
-                return a.second < b.second;
-              });
-    aligned.inserted = earliest;
-    if (aligned.inserted == world::kNever) continue;  // Never acquired.
-    // AddRecord cannot fail here: ids are in range and unique by
-    // construction.
-    Status status = out.AddRecord(std::move(aligned));
-    (void)status;
+    if (row.inserted == world::kNever) continue;  // Never acquired.
+    std::sort(aligned.begin(), aligned.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    out.Append(row, aligned);
   }
   return out;
 }

@@ -78,7 +78,7 @@ Result<SourceHistory> SimulateSource(const world::World& world,
   for (world::SubdomainId sub : spec.scope) {
     for (world::EntityId id : world.EntitiesInSubdomain(sub)) {
       if (Obscurity(id) >= spec.visibility) continue;  // Too hard to find.
-      const world::EntityRecord& entity = world.entity(id);
+      const world::EntityRow& entity = world.entity(id);
       CaptureRecord record;
       record.entity = id;
       record.subdomain = sub;
@@ -102,7 +102,7 @@ Result<SourceHistory> SimulateSource(const world::World& world,
         record.version_captures.emplace_back(0, appear_capture);
       }
       std::uint32_t version = 0;
-      for (TimePoint update_time : entity.update_times) {
+      for (TimePoint update_time : world.update_times(id)) {
         ++version;
         const TimePoint day = capture_day(update_time, spec.update_capture);
         if (day == world::kNever || day >= record.deleted) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -13,7 +14,7 @@ World::World(DataDomain domain, TimePoint horizon)
       horizon_(horizon),
       by_subdomain_(domain_.subdomain_count()) {}
 
-Status World::AddEntity(EntityRecord record) {
+Status World::AddEntity(const EntityRecord& record) {
   if (finalized_) {
     return Status::FailedPrecondition("World already finalized");
   }
@@ -39,8 +40,16 @@ Status World::AddEntity(EntityRecord record) {
     }
     prev = u;
   }
+  if (record.update_times.size() >
+      std::numeric_limits<std::uint32_t>::max() - update_times_.size()) {
+    return Status::InvalidArgument("too many update times for one world");
+  }
   by_subdomain_[record.subdomain].push_back(record.id);
-  entities_.push_back(std::move(record));
+  entities_.push_back(
+      {record.id, record.subdomain, record.birth, record.death});
+  update_times_.insert(update_times_.end(), record.update_times.begin(),
+                       record.update_times.end());
+  update_offsets_.push_back(static_cast<std::uint32_t>(update_times_.size()));
   return Status::OK();
 }
 
@@ -52,7 +61,9 @@ Status World::Finalize() {
   total_counts_.assign(days + 1, 0);
 
   change_log_.clear();
-  for (const EntityRecord& e : entities_) {
+  // At most an appearance and a disappearance per entity, plus the updates.
+  change_log_.reserve(2 * entities_.size() + update_times_.size());
+  for (const EntityRow& e : entities_) {
     // Difference array for interval [birth, min(death, horizon+1)).
     const TimePoint lo = std::max<TimePoint>(e.birth, 0);
     const TimePoint hi =
@@ -66,7 +77,7 @@ Status World::Finalize() {
           {e.birth, ChangeType::kAppear, e.id, e.subdomain, 0});
     }
     std::uint32_t version = 0;
-    for (TimePoint u : e.update_times) {
+    for (TimePoint u : update_times(e.id)) {
       ++version;
       if (u <= horizon_) {
         change_log_.push_back(

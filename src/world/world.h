@@ -2,8 +2,10 @@
 #define FRESHSEL_WORLD_WORLD_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/result.h"
 #include "common/time_types.h"
 #include "world/domain.h"
@@ -23,6 +25,10 @@ namespace freshsel::world {
 /// Usage: construct, `AddEntity` records, then `Finalize()` once before any
 /// query. Entity ids must be dense 0..n-1 (they double as signature bit
 /// indices).
+///
+/// Storage is compressed sparse rows: one EntityRow per entity and one flat
+/// array holding every entity's update times back to back, indexed by
+/// per-entity offsets.
 class World {
  public:
   /// `horizon` is the last simulated/observed day; per-day count queries are
@@ -39,20 +45,40 @@ class World {
 
   /// Appends an entity record. Returns InvalidArgument when the id is not
   /// the next dense id, the subdomain is out of range, or the record's
-  /// times are inconsistent. Must be called before Finalize().
-  Status AddEntity(EntityRecord record);
+  /// times are inconsistent; a rejected record stores nothing. Must be
+  /// called before Finalize().
+  Status AddEntity(const EntityRecord& record);
 
   /// Builds count prefix arrays and the change log. Idempotent.
   Status Finalize();
   bool finalized() const { return finalized_; }
 
   std::size_t entity_count() const { return entities_.size(); }
-  const EntityRecord& entity(EntityId id) const {
+  const EntityRow& entity(EntityId id) const {
     FRESHSEL_DCHECK(id < entities_.size())
         << "entity " << id << " out of range (" << entities_.size() << ")";
     return entities_[id];
   }
-  const std::vector<EntityRecord>& entities() const { return entities_; }
+  const std::vector<EntityRow>& entities() const { return entities_; }
+
+  /// The update days of entity `id`, strictly increasing.
+  std::span<const TimePoint> update_times(EntityId id) const {
+    FRESHSEL_DCHECK(id < entities_.size())
+        << "entity " << id << " out of range (" << entities_.size() << ")";
+    return {update_times_.data() + update_offsets_[id],
+            update_offsets_[id + 1] - update_offsets_[id]};
+  }
+
+  /// Version of entity `id` at t: its number of updates at or before t.
+  std::uint32_t VersionAt(EntityId id, TimePoint t) const {
+    return world::VersionAt(update_times(id), t);
+  }
+
+  /// Time of entity `id`'s latest change at or before t.
+  /// Pre: t >= entity(id).birth.
+  TimePoint LatestChangeAt(EntityId id, TimePoint t) const {
+    return world::LatestChangeAt(entity(id).birth, update_times(id), t);
+  }
 
   /// Ids of entities whose subdomain is `sub` (any lifetime).
   const std::vector<EntityId>& EntitiesInSubdomain(SubdomainId sub) const;
@@ -78,7 +104,11 @@ class World {
   DataDomain domain_;
   TimePoint horizon_;
   bool finalized_ = false;
-  std::vector<EntityRecord> entities_;
+  std::vector<EntityRow> entities_;
+  // Entity i's update times are update_times_[update_offsets_[i] ..
+  // update_offsets_[i + 1]); update_offsets_ has entity_count() + 1 entries.
+  std::vector<TimePoint> update_times_;
+  std::vector<std::uint32_t> update_offsets_{0};
   std::vector<std::vector<EntityId>> by_subdomain_;
   // counts_[sub][d] = #entities of `sub` existing on day d, d in [0,horizon].
   std::vector<std::vector<std::int32_t>> counts_;

@@ -105,6 +105,33 @@ TEST_F(ReportCliTest, ShowRendersEverySection) {
             std::string::npos);
 }
 
+TEST_F(ReportCliTest, ShowKeepsPercentilesInRecordedRange) {
+  obs::Histogram histogram(obs::Histogram::DefaultLatencyBounds());
+  for (int i = 0; i < 1000; ++i) histogram.Record(0.000212);
+  obs::RunReport report = MakeReport(4);
+  report.metrics.histograms["one.value.seconds"] = histogram.TakeSnapshot();
+  const std::string path = Write(report, "report_cli_range");
+  std::ostringstream out;
+  const Status status = RunReportCommand(
+      ParseReportArgs({"report", "show", path.c_str()}), out);
+  ASSERT_TRUE(status.ok()) << status.message();
+  // The row: name, count, mean, p50, p95, p99.
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<std::string> cells;
+  while (std::getline(lines, line)) {
+    if (line.find("one.value.seconds") == std::string::npos) continue;
+    std::istringstream row(line);
+    for (std::string cell; row >> cell;) {
+      if (cell != "|") cells.push_back(cell);
+    }
+  }
+  ASSERT_EQ(cells.size(), 6u) << out.str();
+  EXPECT_EQ(cells[3], "0.000212");  // p50
+  EXPECT_EQ(cells[4], "0.000212");  // p95
+  EXPECT_EQ(cells[5], "0.000212");  // p99
+}
+
 TEST_F(ReportCliTest, ShowTruncatesRoundsOnRequest) {
   const std::string path = Write(MakeReport(4), "report_cli_rounds");
   std::ostringstream out;

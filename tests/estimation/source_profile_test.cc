@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "source/source_simulator.h"
 #include "testing/test_world.h"
@@ -28,6 +30,48 @@ TEST(SourceProfileTest, LearnValidatesT0) {
   EXPECT_FALSE(LearnSourceProfile(w, s, 0).ok());
   EXPECT_FALSE(LearnSourceProfile(w, s, 200).ok());
   EXPECT_TRUE(LearnSourceProfile(w, s, 100).ok());
+}
+
+TEST(SourceProfileTest, UpdateDaysBeforeDayZeroCount) {
+  world::World w = testing::MakeTestWorld();
+  source::SourceSpec spec;
+  spec.name = "early";
+  source::SourceHistory h(spec, w.entity_count());
+  auto add = [&h](world::EntityId id, world::SubdomainId sub,
+                  TimePoint inserted, TimePoint deleted,
+                  std::vector<source::VersionCapture> captures) {
+    source::CaptureRecord rec;
+    rec.entity = id;
+    rec.subdomain = sub;
+    rec.inserted = inserted;
+    rec.deleted = deleted;
+    rec.version_captures = std::move(captures);
+    ASSERT_TRUE(h.AddRecord(rec).ok());
+  };
+  add(0, 0, -4, 55, {{0, -4}, {1, 12}, {2, 35}});
+  add(1, 0, -10, world::kNever, {{0, -10}, {1, 25}});
+  add(2, 1, -10, world::kNever, {{0, -10}, {1, 120}});
+  // Distinct update days within T = 100: -10, -4, 12, 25, 35 and the
+  // deletion at 55. Six days over a span of 65.
+  const SourceProfile profile = LearnSourceProfile(w, h, 100).value();
+  EXPECT_EQ(profile.update_interval, 65.0 / 5.0);
+  EXPECT_EQ(profile.anchor, 55);
+  EXPECT_EQ(profile.observed_scope, (std::vector<world::SubdomainId>{0, 1}));
+}
+
+TEST(SourceProfileTest, RejectsSubdomainOutsideTheDomain) {
+  world::World w = testing::MakeTestWorld();
+  source::SourceSpec spec;
+  spec.name = "bad-subdomain";
+  source::SourceHistory h(spec, w.entity_count());
+  source::CaptureRecord rec;
+  rec.entity = 0;
+  rec.subdomain = 7;  // The test world has 4 subdomains.
+  rec.inserted = 2;
+  rec.version_captures = {{0, 2}};
+  ASSERT_TRUE(h.AddRecord(rec).ok());
+  const Result<SourceProfile> profile = LearnSourceProfile(w, h, 100);
+  EXPECT_EQ(profile.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SourceProfileTest, LearnsUpdateIntervalAndAnchor) {

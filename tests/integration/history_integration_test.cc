@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "source/source_simulator.h"
 #include "testing/test_world.h"
 #include "world/world_simulator.h"
@@ -25,13 +28,14 @@ TEST(HistoryIntegrationTest, ReconstructsFromHandBuiltSource) {
 
   // Entity 0: first mention day 2, updates learned at 12 and 35, deleted
   // by its only source at 55.
-  const world::EntityRecord& e0 = result.world.entity(0);
+  const world::EntityRow& e0 = result.world.entity(0);
   EXPECT_EQ(e0.birth, 2);
-  EXPECT_EQ(e0.update_times, (std::vector<TimePoint>{12, 35}));
+  EXPECT_TRUE(std::ranges::equal(result.world.update_times(e0.id),
+                                 std::vector<TimePoint>{12, 35}));
   EXPECT_EQ(e0.death, 55);
 
   // Entity 1 is never deleted anywhere: alive.
-  const world::EntityRecord& e1 =
+  const world::EntityRow& e1 =
       result.world.entity(result.from_original[1]);
   EXPECT_EQ(e1.death, world::kNever);
 }
@@ -57,10 +61,11 @@ TEST(HistoryIntegrationTest, EarliestMentionAcrossSourcesWins) {
   ReconstructionResult result =
       ReconstructWorld(domain, {&late, &early}, 100, w.entity_count())
           .value();
-  const world::EntityRecord& e0 =
+  const world::EntityRow& e0 =
       result.world.entity(result.from_original[0]);
   EXPECT_EQ(e0.birth, 1);                       // Earliest mention.
-  EXPECT_EQ(e0.update_times.front(), 11);       // Earliest v1 capture.
+  EXPECT_EQ(result.world.update_times(e0.id).front(),
+            11);                                // Earliest v1 capture.
   EXPECT_EQ(e0.death, 55);                      // Latest deletion.
 }
 
@@ -84,7 +89,7 @@ TEST(HistoryIntegrationTest, AliveWhileAnySourceStillCarries) {
   ReconstructionResult result =
       ReconstructWorld(domain, {&keeper, &deleter}, 100, w.entity_count())
           .value();
-  const world::EntityRecord& e2 =
+  const world::EntityRow& e2 =
       result.world.entity(result.from_original[2]);
   EXPECT_EQ(e2.death, world::kNever);
 }

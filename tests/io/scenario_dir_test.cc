@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -108,12 +109,13 @@ TEST_F(ScenarioDirTest, MatchesPerFileReads) {
   ASSERT_EQ(data->world.entity_count(), world.entity_count());
   EXPECT_EQ(data->world.horizon(), world.horizon());
   for (std::size_t i = 0; i < world.entity_count(); ++i) {
-    const world::EntityRecord& a = data->world.entity(i);
-    const world::EntityRecord& b = world.entity(i);
+    const world::EntityRow& a = data->world.entity(i);
+    const world::EntityRow& b = world.entity(i);
     EXPECT_EQ(a.subdomain, b.subdomain);
     EXPECT_EQ(a.birth, b.birth);
     EXPECT_EQ(a.death, b.death);
-    EXPECT_EQ(a.update_times, b.update_times);
+    EXPECT_TRUE(std::ranges::equal(data->world.update_times(i),
+                                   world.update_times(i)));
   }
 
   ASSERT_EQ(data->sources.size(), source_paths_.size());
@@ -128,13 +130,13 @@ TEST_F(ScenarioDirTest, MatchesPerFileReads) {
     EXPECT_EQ(got.world_entity_count(), history.world_entity_count());
     ASSERT_EQ(got.records().size(), history.records().size());
     for (std::size_t r = 0; r < history.records().size(); ++r) {
-      const source::CaptureRecord& a = got.records()[r];
-      const source::CaptureRecord& b = history.records()[r];
+      const source::CaptureRow& a = got.records()[r];
+      const source::CaptureRow& b = history.records()[r];
       EXPECT_EQ(a.entity, b.entity);
       EXPECT_EQ(a.subdomain, b.subdomain);
       EXPECT_EQ(a.inserted, b.inserted);
       EXPECT_EQ(a.deleted, b.deleted);
-      EXPECT_EQ(a.version_captures, b.version_captures);
+      EXPECT_TRUE(std::ranges::equal(got.captures(a), history.captures(b)));
     }
   }
 }

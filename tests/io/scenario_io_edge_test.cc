@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,11 +47,12 @@ std::string Render(const world::World& w) {
   const world::DataDomain& d = w.domain();
   out << "ok " << d.dim1_name() << '=' << d.dim1_size() << ' '
       << d.dim2_name() << '=' << d.dim2_size() << " h=" << w.horizon();
-  for (const world::EntityRecord& e : w.entities()) {
+  for (const world::EntityRow& e : w.entities()) {
     out << " [" << e.id << ' ' << e.subdomain << ' ' << e.birth << ' '
         << TimeText(e.death) << ' ';
-    for (std::size_t i = 0; i < e.update_times.size(); ++i) {
-      out << (i > 0 ? "|" : "") << e.update_times[i];
+    const std::span<const TimePoint> update_times = w.update_times(e.id);
+    for (std::size_t i = 0; i < update_times.size(); ++i) {
+      out << (i > 0 ? "|" : "") << update_times[i];
     }
     out << ']';
   }
@@ -65,12 +67,13 @@ std::string Render(const source::SourceHistory& h) {
   for (std::size_t i = 0; i < h.spec().scope.size(); ++i) {
     out << (i > 0 ? "|" : "") << h.spec().scope[i];
   }
-  for (const source::CaptureRecord& r : h.records()) {
+  for (const source::CaptureRow& r : h.records()) {
     out << " [" << r.entity << ' ' << r.subdomain << ' ' << r.inserted << ' '
         << TimeText(r.deleted) << ' ';
-    for (std::size_t i = 0; i < r.version_captures.size(); ++i) {
-      out << (i > 0 ? "|" : "") << r.version_captures[i].first << ':'
-          << r.version_captures[i].second;
+    const std::span<const source::VersionCapture> captures = h.captures(r);
+    for (std::size_t i = 0; i < captures.size(); ++i) {
+      out << (i > 0 ? "|" : "") << captures[i].first << ':'
+          << captures[i].second;
     }
     out << ']';
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -34,12 +35,13 @@ TEST(ScenarioIoTest, WorldRoundTrip) {
   EXPECT_EQ(loaded->domain().subdomain_count(),
             original.domain().subdomain_count());
   for (std::size_t i = 0; i < original.entity_count(); ++i) {
-    const world::EntityRecord& a = original.entity(i);
-    const world::EntityRecord& b = loaded->entity(i);
+    const world::EntityRow& a = original.entity(i);
+    const world::EntityRow& b = loaded->entity(i);
     EXPECT_EQ(a.subdomain, b.subdomain);
     EXPECT_EQ(a.birth, b.birth);
     EXPECT_EQ(a.death, b.death);
-    EXPECT_EQ(a.update_times, b.update_times);
+    EXPECT_TRUE(std::ranges::equal(original.update_times(i),
+                                   loaded->update_times(i)));
   }
   // The loaded world is finalized: count queries work.
   for (TimePoint t = 0; t <= 100; t += 10) {
@@ -77,13 +79,14 @@ TEST(ScenarioIoTest, SourceHistoryRoundTrip) {
   EXPECT_EQ(loaded->spec().scope, original.spec().scope);
   EXPECT_EQ(loaded->records().size(), original.records().size());
   EXPECT_EQ(loaded->world_entity_count(), original.world_entity_count());
-  for (const source::CaptureRecord& rec : original.records()) {
-    const source::CaptureRecord* got = loaded->Find(rec.entity);
+  for (const source::CaptureRow& rec : original.records()) {
+    const source::CaptureRow* got = loaded->Find(rec.entity);
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(got->subdomain, rec.subdomain);
     EXPECT_EQ(got->inserted, rec.inserted);
     EXPECT_EQ(got->deleted, rec.deleted);
-    EXPECT_EQ(got->version_captures, rec.version_captures);
+    EXPECT_TRUE(std::ranges::equal(loaded->captures(*got),
+                                   original.captures(rec)));
   }
   std::remove(path.c_str());
 }

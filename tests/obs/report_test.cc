@@ -150,6 +150,27 @@ TEST(RunReportTest, FromJsonRejectsBadDocuments) {
   EXPECT_FALSE(RunReport::FromJson("not json").ok());
 }
 
+TEST(RunReportTest, ReadBackPercentilesStayInRecordedRange) {
+  // Every record has one value, which lies inside a half-decade bucket: the
+  // bucket interpolation alone would put p99 above it.
+  Histogram histogram(Histogram::DefaultLatencyBounds());
+  for (int i = 0; i < 1000; ++i) histogram.Record(0.000212);
+  RunReport report = MakeSampleReport();
+  report.metrics.histograms["one.value.seconds"] = histogram.TakeSnapshot();
+  const std::string path =
+      ::testing::TempDir() + "/obs_report_range_test.json";
+  ASSERT_TRUE(report.WriteJsonFile(path).ok());
+  const RunReport reread = RunReport::ReadJsonFile(path).value();
+  std::remove(path.c_str());
+  const Histogram::Snapshot& got =
+      reread.metrics.histograms.at("one.value.seconds");
+  EXPECT_EQ(got.Percentile(0.50), 0.000212);
+  EXPECT_EQ(got.Percentile(0.95), 0.000212);
+  EXPECT_EQ(got.Percentile(0.99), 0.000212);
+  // The writer's bytes are unchanged by the read.
+  EXPECT_EQ(reread.ToJson(), report.ToJson());
+}
+
 TEST(RunReportTest, ReadJsonFileRoundTrip) {
   const RunReport report = MakeSampleReport();
   const std::string path =

@@ -75,8 +75,8 @@ TEST(SourceSimulatorTest, PerfectDailySourceTracksWorldExactly) {
     EXPECT_EQ(history.ContentCountAt(t), world_count) << "t=" << t;
   }
   // Every version is captured the day it happens.
-  for (const CaptureRecord& rec : history.records()) {
-    const world::EntityRecord& entity = w.entity(rec.entity);
+  for (const CaptureRow& rec : history.records()) {
+    const world::EntityRow& entity = w.entity(rec.entity);
     EXPECT_EQ(rec.inserted, std::max<TimePoint>(entity.birth, 0));
     if (entity.death != world::kNever && entity.death <= 400) {
       EXPECT_EQ(rec.deleted, entity.death);
@@ -91,8 +91,8 @@ TEST(SourceSimulatorTest, CapturesAlignToSchedule) {
   spec.initial_awareness = 0.0;
   Rng rng(3);
   SourceHistory history = SimulateSource(w, spec, rng).value();
-  for (const CaptureRecord& rec : history.records()) {
-    for (const auto& [version, day] : rec.version_captures) {
+  for (const CaptureRow& rec : history.records()) {
+    for (const auto& [version, day] : history.captures(rec)) {
       EXPECT_TRUE(spec.schedule.IsUpdateDay(day))
           << "capture at non-update day " << day;
     }
@@ -111,11 +111,11 @@ TEST(SourceSimulatorTest, CapturesNeverPrecedeEvents) {
   spec.initial_awareness = 0.0;
   Rng rng(4);
   SourceHistory history = SimulateSource(w, spec, rng).value();
-  for (const CaptureRecord& rec : history.records()) {
-    const world::EntityRecord& entity = w.entity(rec.entity);
-    for (const auto& [version, day] : rec.version_captures) {
+  for (const CaptureRow& rec : history.records()) {
+    const world::EntityRow& entity = w.entity(rec.entity);
+    for (const auto& [version, day] : history.captures(rec)) {
       const TimePoint event_time =
-          version == 0 ? entity.birth : entity.update_times[version - 1];
+          version == 0 ? entity.birth : w.update_times(rec.entity)[version - 1];
       EXPECT_GE(day, event_time);
       EXPECT_LT(day, rec.deleted);
     }
@@ -146,7 +146,7 @@ TEST(SourceSimulatorTest, InitialAwarenessSeedsDayZeroContent) {
   Rng rng(6);
   SourceHistory history = SimulateSource(w, spec, rng).value();
   EXPECT_EQ(history.ContentCountAt(0), w.TotalCountAt(0));
-  for (const CaptureRecord& rec : history.records()) {
+  for (const CaptureRow& rec : history.records()) {
     EXPECT_EQ(rec.inserted, 0);
   }
 }
@@ -157,7 +157,7 @@ TEST(SourceSimulatorTest, ScopeRestrictsContent) {
   spec.scope = {1};
   Rng rng(7);
   SourceHistory history = SimulateSource(w, spec, rng).value();
-  for (const CaptureRecord& rec : history.records()) {
+  for (const CaptureRow& rec : history.records()) {
     EXPECT_EQ(w.entity(rec.entity).subdomain, 1u);
     EXPECT_EQ(rec.subdomain, 1u);
   }
@@ -190,7 +190,7 @@ TEST(SourceSimulatorTest, SimulateSourcesForksIndependentStreams) {
   // Same spec, different random streams: the capture patterns must differ.
   auto fingerprint = [](const SourceHistory& h) {
     std::int64_t sum = 0;
-    for (const CaptureRecord& rec : h.records()) {
+    for (const CaptureRow& rec : h.records()) {
       sum += rec.inserted * 31 + rec.entity;
     }
     return sum;

@@ -44,7 +44,7 @@ TEST(SliceRosterTest, OneSlicePerCoveredDimensionValue) {
     EXPECT_EQ(roster.classes[i], SourceClass::kMicro);
     // Records subset of the parent's.
     const auto& parent = base.sources[roster.parent_of[i]];
-    for (const source::CaptureRecord& rec : roster.sources[i].records()) {
+    for (const source::CaptureRow& rec : roster.sources[i].records()) {
       EXPECT_NE(parent.Find(rec.entity), nullptr);
     }
   }

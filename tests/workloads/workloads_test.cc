@@ -164,7 +164,7 @@ TEST(BlPlusGeneratorTest, MicroSourcesAreSlicesOfParents) {
       }
       // Records are a subset of the parent's records.
       EXPECT_LE(micro.records().size(), parent.records().size());
-      for (const source::CaptureRecord& rec : micro.records()) {
+      for (const source::CaptureRow& rec : micro.records()) {
         EXPECT_NE(parent.Find(rec.entity), nullptr);
       }
     }

@@ -1,5 +1,6 @@
 #include "world/world_simulator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <gtest/gtest.h>
 
@@ -36,10 +37,10 @@ TEST(WorldSimulatorTest, SeedsInitialPopulation) {
   EXPECT_EQ(w.entity_count(), 25u);
   EXPECT_EQ(w.TotalCountAt(0), 25);
   EXPECT_EQ(w.TotalCountAt(10), 25);  // No deaths.
-  for (const EntityRecord& e : w.entities()) {
+  for (const EntityRow& e : w.entities()) {
     EXPECT_EQ(e.birth, 0);
     EXPECT_EQ(e.death, kNever);
-    EXPECT_TRUE(e.update_times.empty());
+    EXPECT_TRUE(w.update_times(e.id).empty());
   }
 }
 
@@ -53,7 +54,7 @@ TEST(WorldSimulatorTest, AppearanceRateMatchesPoisson) {
       static_cast<double>(w.entity_count()) / static_cast<double>(horizon);
   EXPECT_NEAR(per_day, lambda, 0.2);
   // Births only on days 1..horizon.
-  for (const EntityRecord& e : w.entities()) {
+  for (const EntityRow& e : w.entities()) {
     EXPECT_GE(e.birth, 1);
     EXPECT_LE(e.birth, horizon);
   }
@@ -65,7 +66,7 @@ TEST(WorldSimulatorTest, LifespanMeanMatchesExponential) {
   World w =
       SimulateWorld(SimpleSpec(0.0, gamma, 0.0, 20000, 10000), rng).value();
   double total = 0.0;
-  for (const EntityRecord& e : w.entities()) {
+  for (const EntityRow& e : w.entities()) {
     ASSERT_NE(e.death, kNever);
     total += static_cast<double>(e.death - e.birth);
   }
@@ -80,10 +81,10 @@ TEST(WorldSimulatorTest, UpdateGapsMatchRate) {
   World w =
       SimulateWorld(SimpleSpec(0.0, 0.0, gamma_u, 2000, 500), rng).value();
   std::size_t updates = 0;
-  for (const EntityRecord& e : w.entities()) {
-    updates += e.update_times.size();
+  for (const EntityRow& e : w.entities()) {
+    updates += w.update_times(e.id).size();
     TimePoint prev = e.birth;
-    for (TimePoint u : e.update_times) {
+    for (TimePoint u : w.update_times(e.id)) {
       EXPECT_GT(u, prev);
       EXPECT_LE(u, 500);
       prev = u;
@@ -98,8 +99,8 @@ TEST(WorldSimulatorTest, UpdatesPrecedeDeath) {
   Rng rng(6);
   World w =
       SimulateWorld(SimpleSpec(1.0, 0.05, 0.1, 100, 300), rng).value();
-  for (const EntityRecord& e : w.entities()) {
-    for (TimePoint u : e.update_times) {
+  for (const EntityRow& e : w.entities()) {
+    for (TimePoint u : w.update_times(e.id)) {
       EXPECT_GT(u, e.birth);
       if (e.death != kNever) {
         EXPECT_LT(u, e.death);
@@ -117,7 +118,7 @@ TEST(WorldSimulatorTest, DeterministicForSeed) {
   for (std::size_t i = 0; i < a.entity_count(); ++i) {
     EXPECT_EQ(a.entity(i).birth, b.entity(i).birth);
     EXPECT_EQ(a.entity(i).death, b.entity(i).death);
-    EXPECT_EQ(a.entity(i).update_times, b.entity(i).update_times);
+    EXPECT_TRUE(std::ranges::equal(a.update_times(i), b.update_times(i)));
   }
 }
 

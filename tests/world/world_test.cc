@@ -1,6 +1,8 @@
 #include "world/world.h"
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "testing/test_world.h"
@@ -88,6 +90,57 @@ TEST(WorldTest, AddEntityValidation) {
   EXPECT_TRUE(w.AddEntity(good).ok());
 }
 
+TEST(WorldTest, RejectedEntitiesStoreNoUpdateTimes) {
+  DataDomain domain = DataDomain::Create("a", 1, "b", 1).value();
+  World w(std::move(domain), 100);
+  auto record = [](EntityId id, TimePoint birth, TimePoint death,
+                   std::vector<TimePoint> updates) {
+    EntityRecord rec;
+    rec.id = id;
+    rec.birth = birth;
+    rec.death = death;
+    rec.update_times = std::move(updates);
+    return rec;
+  };
+  EXPECT_FALSE(w.AddEntity(record(0, 10, kNever, {10, 20})).ok());  // Birth.
+  EXPECT_FALSE(w.AddEntity(record(0, 0, 30, {10, 30})).ok());       // Death.
+  EXPECT_FALSE(w.AddEntity(record(0, 0, kNever, {20, 10})).ok());   // Order.
+  ASSERT_TRUE(w.AddEntity(record(0, 0, 50, {10, 20})).ok());
+  EXPECT_FALSE(w.AddEntity(record(1, 5, kNever, {7, 7, 9})).ok());
+  ASSERT_TRUE(w.AddEntity(record(1, 5, kNever, {7})).ok());
+  ASSERT_TRUE(w.AddEntity(record(2, 8, kNever, {})).ok());
+  ASSERT_TRUE(w.Finalize().ok());
+
+  ASSERT_EQ(w.entity_count(), 3u);
+  const std::span<const TimePoint> zero = w.update_times(0);
+  EXPECT_EQ(std::vector<TimePoint>(zero.begin(), zero.end()),
+            (std::vector<TimePoint>{10, 20}));
+  const std::span<const TimePoint> one = w.update_times(1);
+  EXPECT_EQ(std::vector<TimePoint>(one.begin(), one.end()),
+            (std::vector<TimePoint>{7}));
+  EXPECT_TRUE(w.update_times(2).empty());
+  EXPECT_EQ(w.VersionAt(0, 15), 1u);
+  EXPECT_EQ(w.VersionAt(1, 100), 1u);
+  EXPECT_EQ(w.LatestChangeAt(0, 25), 20);
+  EXPECT_EQ(w.LatestChangeAt(2, 25), 8);
+  // Three appearances, three updates and one disappearance.
+  EXPECT_EQ(w.change_log().size(), 7u);
+}
+
+TEST(WorldTest, MovedWorldKeepsValidSpans) {
+  World w = testing::MakeTestWorld();
+  World moved(std::move(w));
+  const std::span<const TimePoint> three = moved.update_times(3);
+  EXPECT_EQ(std::vector<TimePoint>(three.begin(), three.end()),
+            (std::vector<TimePoint>{40, 60}));
+  World assigned(DataDomain::Create("a", 1, "b", 1).value(), 1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.entity_count(), 6u);
+  EXPECT_EQ(assigned.VersionAt(0, 30), 2u);
+  EXPECT_EQ(assigned.LatestChangeAt(3, 59), 40);
+  EXPECT_EQ(assigned.update_times(5).front(), 70);
+}
+
 TEST(WorldTest, AddAfterFinalizeFails) {
   DataDomain domain = DataDomain::Create("a", 1, "b", 1).value();
   World w(std::move(domain), 10);
@@ -102,7 +155,7 @@ TEST(WorldTest, CountsMatchBruteForce) {
   for (TimePoint t = 0; t <= 100; t += 5) {
     std::int64_t expected_total = 0;
     std::vector<std::int64_t> expected_sub(4, 0);
-    for (const EntityRecord& e : w.entities()) {
+    for (const EntityRow& e : w.entities()) {
       if (e.ExistsAt(t)) {
         ++expected_total;
         ++expected_sub[e.subdomain];
